@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import DomainError, index_order, total_degree_indices
+from .core import DomainError, exp_or_inf, index_order, total_degree_indices
 from .operators import log_iterate_norm
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
 from .transform import CoefficientField, ScalarField
@@ -49,21 +49,25 @@ class SpaceParams:
 
 
 def log_theta_weight(order: int, params: SpaceParams) -> float:
-    """log of the weight at shell |n| = order: h * |n|^(1/(2 alpha))."""
+    """log of the weight at shell |n| = order: h * |n|^(1/(2 alpha));
+    inf where that exceeds binary64 (tiny alpha)."""
     if order == 0:
         return 0.0
     if params.alpha == 0:
         raise DomainError("weight exponent is undefined at alpha = 0")
-    return params.scale * float(order) ** (1.0 / (2.0 * params.alpha))
+    try:
+        return params.scale * float(order) ** (1.0 / (2.0 * params.alpha))
+    except OverflowError:
+        return math.inf
 
 
 def theta_weight(n, params: SpaceParams) -> float:
     """e^{h |n|^{1/(2 alpha)}}; equals 1 at |n| = 0."""
-    return math.exp(log_theta_weight(index_order(n), params))
+    return exp_or_inf(log_theta_weight(index_order(n), params))
 
 
-def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
-    """l^p norm of {|a_n| theta_{h,alpha}(n)}, computed in log space."""
+def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
+    """log of `weighted_seq_norm`; -inf when the norm is zero."""
     if p < 1:
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     logs = []
@@ -72,12 +76,18 @@ def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> flo
             continue
         logs.append(math.log(abs(v)) + log_theta_weight(index_order(n), params))
     if not logs:
-        return 0.0
+        return -math.inf
     arr = np.array(logs)
     if math.isinf(p):
-        return math.exp(float(arr.max()))
+        return float(arr.max())
     with np.errstate(over="ignore"):
-        return math.exp(float(logsumexp(p * arr)) / p)
+        return float(logsumexp(p * arr)) / p
+
+
+def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
+    """l^p norm of {|a_n| theta_{h,alpha}(n)}, computed in log space; inf
+    where it exceeds binary64."""
+    return exp_or_inf(log_weighted_seq_norm(a, params, p))
 
 
 @dataclass(frozen=True)
@@ -348,9 +358,10 @@ def classify_membership(
 # ---------------------------------------------------------------------------
 
 class EtaResult(NamedTuple):
-    value: float
+    value: float  # inf where the supremum exceeds binary64
     argmax: int
     growing: bool
+    log_value: float  # log of the supremum; -inf when it is zero
 
 
 def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaResult:
@@ -372,13 +383,13 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
         else:
             log_ratios.append(lg - N * log_h - params.alpha * math.lgamma(N + 1))
     best = max(range(N_max), key=lambda i: log_ratios[i])
-    value = 0.0 if log_ratios[best] == -math.inf else math.exp(log_ratios[best])
     growing = (
         best == N_max - 1
         and N_max >= 2
         and log_ratios[-1] > log_ratios[-2]
     )
-    return EtaResult(value=value, argmax=best + 1, growing=growing)
+    return EtaResult(value=exp_or_inf(log_ratios[best]), argmax=best + 1, growing=growing,
+                     log_value=log_ratios[best])
 
 
 # ---------------------------------------------------------------------------

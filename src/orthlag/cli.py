@@ -17,9 +17,9 @@ from .analysis import (
     SpaceParams,
     classify_membership,
     eta_seminorm,
-    weighted_seq_norm,
+    log_weighted_seq_norm,
 )
-from .core import DomainError
+from .core import DomainError, exp_or_inf
 from .fields import field_by_name
 from .operators import apply_E_spectral, semigroup_propagate
 from .quadrature import default_rule_size, gauss_laguerre_rule
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", help="emit a Gauss-Laguerre rule as CSV")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--dim", type=int, default=1, help="accepted for symmetry; rules are per-axis")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("analyze", help="expand a function into coefficients")
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--suite", default="all",
                    choices=("all", "core", "quadrature", "transform", "operator", "analysis"))
-    p.add_argument("--threads", type=int, default=None)
 
     return parser
 
@@ -173,11 +171,12 @@ def _parse_norm_index(text: str) -> float:
 def cmd_norms(args) -> int:
     a = read_coefficients(args.coeffs_in)
     p = _parse_norm_index(args.p)
-    val = weighted_seq_norm(a, SpaceParams(alpha=args.alpha, scale=args.h), p)
+    log_val = log_weighted_seq_norm(a, SpaceParams(alpha=args.alpha, scale=args.h), p)
     print(f"alpha: {args.alpha!r}")
     print(f"h: {args.h!r}")
     print(f"p: {args.p}")
-    print(f"norm: {val!r}")
+    print(f"log_norm: {log_val!r}")
+    print(f"norm: {exp_or_inf(log_val)!r}")
     return EXIT_OK
 
 
@@ -187,6 +186,7 @@ def cmd_eta(args) -> int:
     print(f"alpha: {args.alpha!r}")
     print(f"h: {args.h!r}")
     print(f"value: {res.value!r}")
+    print(f"log_value: {res.log_value!r}")
     print(f"argmax_N: {res.argmax}")
     print(f"still_growing: {res.growing}")
     return EXIT_OK
@@ -213,7 +213,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import format_report, run_suite
 
-    results = run_suite(args.suite, threads=args.threads)
+    results = run_suite(args.suite)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 

@@ -88,6 +88,14 @@ def graded_lex_key(n: Sequence[int]) -> tuple:
     return (sum(n), tuple(n))
 
 
+def exp_or_inf(log_value: float) -> float:
+    """e^log_value, or inf where that exceeds binary64."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # Laguerre polynomials and functions
 # ---------------------------------------------------------------------------

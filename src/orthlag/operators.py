@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import DomainError, index_order, validate_point
+from .core import DomainError, exp_or_inf, index_order, validate_point
 from .transform import CoefficientField, ScalarField
 
 
@@ -42,7 +42,10 @@ def power_multiplier(N: int) -> SpectralMultiplier:
             return 1.0
         if m == 0:
             return 0.0
-        return float(m) ** N
+        try:
+            return float(m) ** N
+        except OverflowError:  # the coefficient check rejects it as non-finite
+            return math.inf
 
     return SpectralMultiplier(rule=rule, descriptor=f"E^{N}")
 
@@ -76,10 +79,10 @@ def iterate_norm(a: CoefficientField, N: int) -> float:
     """L2 norm of E^N applied to the truncated series.
 
     By orthonormality this is sqrt(sum |n|^{2N} a_n^2); the sum is taken in
-    log space so large powers do not overflow before the square root.
+    log space so large powers do not overflow before the square root; the
+    result is inf where the norm itself exceeds binary64.
     """
-    lg = log_iterate_norm(a, N)
-    return 0.0 if lg == -math.inf else math.exp(lg)
+    return exp_or_inf(log_iterate_norm(a, N))
 
 
 def log_iterate_norm(a: CoefficientField, N: int) -> float:

@@ -9,9 +9,8 @@ the bare weights underflow binary64 (large rules have nodes beyond 700).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import islice, product
+from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -82,49 +81,35 @@ def default_rule_size(degree: int) -> int:
     return min(degree + 16, MAX_RULE_SIZE)
 
 
-def _blocked(iterable, block_size):
-    it = iter(iterable)
-    while True:
-        block = list(islice(it, block_size))
-        if not block:
-            return
-        yield block
+def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndarray:
+    """The evaluator at every node of the d-fold tensor grid, as a (K,)*d array.
+
+    One call per node, in lexicographic node order; a non-finite value raises
+    DomainError naming its node.
+    """
+    values = np.empty(nodes.size ** d)
+    for i, x in enumerate(product(nodes.tolist(), repeat=d)):
+        val = float(evaluator(np.array(x)))
+        if not math.isfinite(val):
+            raise DomainError(f"non-finite integrand value {val!r} at node {x}")
+        values[i] = val
+    return values.reshape((nodes.size,) * d)
 
 
-def integrate_orthant(
-    f: Callable,
-    rule: QuadratureRule,
-    d: int = 1,
-    threads: int | None = None,
-    block_size: int = 1024,
-) -> float:
+def integrate_orthant(f: Callable, rule: QuadratureRule, d: int = 1) -> float:
     """Tensor-product Gauss-Laguerre integral of f over the positive orthant.
 
-    The node grid is streamed in fixed blocks; each block is summed with
-    compensated summation and the block sums are combined in a fixed order,
-    so the result is independent of the worker count.
+    f (a callable or a field with an `evaluator`) is evaluated once per node
+    of the d-fold grid, and the weighted values are added with `math.fsum`,
+    so the result is the correctly rounded sum of the terms, whatever their
+    order.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     evaluator = f.evaluator if hasattr(f, "evaluator") else f
-    nodes = rule.nodes
+    values = _node_grid_values(evaluator, rule.nodes, d)
     wmod = rule.modified_weights
-
-    def block_sum(block):
-        terms = []
-        for idx in block:
-            x = nodes[list(idx)]
-            w = float(np.prod(wmod[list(idx)]))
-            val = float(evaluator(x))
-            if not math.isfinite(val):
-                raise DomainError(f"integrand returned non-finite value {val!r} at node {tuple(x)}")
-            terms.append(w * val)
-        return math.fsum(terms)
-
-    blocks = _blocked(product(range(rule.size), repeat=d), block_size)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(block_sum, blocks))
-    else:
-        partials = [block_sum(b) for b in blocks]
-    return math.fsum(partials)
+    weights = wmod
+    for _ in range(d - 1):
+        weights = np.multiply.outer(weights, wmod)
+    return math.fsum((weights * values).ravel().tolist())

@@ -23,7 +23,7 @@ from .core import (
     validate_multi_index,
     validate_point,
 )
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _node_grid_values
 
 TRUNCATION_KINDS = ("total", "box")
 
@@ -68,7 +68,10 @@ class CoefficientField:
                 raise DomainError(f"index {n} has wrong dimension (expected {self.dim})")
             if not self._respects_bound(n):
                 raise DomainError(f"index {n} violates {self.truncation_kind} bound {self.degree}")
-            clean[n] = float(v)
+            v = float(v)
+            if not math.isfinite(v):
+                raise DomainError(f"coefficient at index {n} is not finite: {v!r}")
+            clean[n] = v
         self.entries = clean
 
     def _respects_bound(self, n: tuple[int, ...]) -> bool:
@@ -129,9 +132,11 @@ def analyze(
     """Coefficients a_n of f for every n in the truncation set, by quadrature.
 
     The rule must have at least degree+1 nodes (Gram exactness); the
-    recommended margin is `default_rule_size(degree)` nodes.  For d <= 2 the
-    transform is assembled from dense per-axis basis matrices; higher
-    dimensions stream the tensor node grid (desk-scale only).
+    recommended margin is `default_rule_size(degree)` nodes.  f is evaluated
+    once per node of the (K,)*d tensor grid, and since l_n is a product over
+    axes, the grid values are contracted one axis at a time with the 1-D
+    transform matrix VW[m, k] = l_m(x_k) e^{x_k} w_k (sum factorization), the
+    same path for every dimension d.
     """
     if kind not in TRUNCATION_KINDS:
         raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
@@ -140,49 +145,13 @@ def analyze(
             f"rule with {rule.size} nodes is too small for degree {degree} (need >= {degree + 1})"
         )
     d = f.dim
-    nodes = rule.nodes
-    wmod = rule.modified_weights
-    V = laguerre_fn_sweep(degree, nodes)  # (degree+1, K)
-
-    def f_at(x):
-        val = float(f.evaluator(x))
-        if not math.isfinite(val):
-            raise DomainError(f"non-finite integrand value {val!r} at node {tuple(x)}")
-        return val
-
-    entries: dict[tuple[int, ...], float] = {}
-    if d == 1:
-        fvals = np.array([f_at(np.array([x])) for x in nodes])
-        coeffs = V @ (wmod * fvals)
-        for n in truncation_indices(kind, 1, degree):
-            entries[n] = float(coeffs[n[0]])
-    elif d == 2:
-        K = rule.size
-        F = np.empty((K, K))
-        for i in range(K):
-            for j in range(K):
-                F[i, j] = f_at(np.array([nodes[i], nodes[j]]))
-        Fw = F * np.outer(wmod, wmod)
-        A = V @ Fw @ V.T
-        for n in truncation_indices(kind, 2, degree):
-            entries[n] = float(A[n[0], n[1]])
-    else:
-        from itertools import product
-
-        indices = list(truncation_indices(kind, d, degree))
-        acc = {n: [] for n in indices}
-        for tup in product(range(rule.size), repeat=d):
-            x = nodes[list(tup)]
-            w = float(np.prod(wmod[list(tup)]))
-            wf = w * f_at(x)
-            cols = [V[:, k] for k in tup]
-            for n in indices:
-                basis = 1.0
-                for j, nj in enumerate(n):
-                    basis *= cols[j][nj]
-                acc[n].append(wf * basis)
-        for n in indices:
-            entries[n] = math.fsum(acc[n])
+    VW = laguerre_fn_sweep(degree, rule.nodes) * rule.modified_weights  # (degree+1, K)
+    A = _node_grid_values(f.evaluator, rule.nodes, d)
+    for _ in range(d):
+        # contract the leading node axis; its degree axis goes last, so after
+        # d steps the axes are back in order
+        A = np.tensordot(A, VW, axes=(0, 1))
+    entries = {n: float(A[n]) for n in truncation_indices(kind, d, degree)}
     return CoefficientField(dim=d, truncation_kind=kind, degree=degree, entries=entries)
 
 
@@ -285,5 +254,7 @@ def read_coefficients(path) -> CoefficientField:
         if len(parts) != dim + 1:
             raise DomainError(f"malformed record {ln!r} (expected {dim} indices + value)")
         n = tuple(int(p) for p in parts[:dim])
+        if n in entries:
+            raise DomainError(f"duplicate record for index {n} in {path}")
         entries[n] = float(parts[dim])
     return CoefficientField(dim=dim, truncation_kind=kind, degree=degree, entries=entries)

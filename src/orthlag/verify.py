@@ -133,11 +133,11 @@ def check_exp_decay_coefficients():
     ]
 
 
-def check_parseval(threads=None):
+def check_parseval():
     rule = quadrature.gauss_laguerre_rule(64)
     f = fields.exp_decay_field(1)
     a = transform.analyze(f, 40, rule)
-    sq = quadrature.integrate_orthant(lambda x: f.evaluator(x) ** 2, rule, 1, threads=threads)
+    sq = quadrature.integrate_orthant(lambda x: f.evaluator(x) ** 2, rule, 1)
     gap = abs(transform.parseval_l2_norm(a) ** 2 - sq)
     return _check("transform", "Parseval vs quadrature of f^2", gap, 1e-12)
 
@@ -341,10 +341,8 @@ SUITES = {
     ],
 }
 
-THREADED_CHECKS = {"check_parseval"}
 
-
-def run_suite(name: str = "all", threads: int | None = None) -> list[CheckResult]:
+def run_suite(name: str = "all") -> list[CheckResult]:
     if name == "all":
         checks = [fn for suite in SUITES.values() for fn in suite]
     elif name in SUITES:
@@ -353,7 +351,7 @@ def run_suite(name: str = "all", threads: int | None = None) -> list[CheckResult
         raise KeyError(f"unknown suite {name!r}; choose from {['all', *SUITES]}")
     results = []
     for fn in checks:
-        out = fn(threads=threads) if fn.__name__ in THREADED_CHECKS else fn()
+        out = fn()
         if isinstance(out, list):
             results.extend(out)
         else:

@@ -18,6 +18,7 @@ from orthlag.analysis import (
     eta_seminorm,
     gtype_seminorm,
     log_theta_weight,
+    log_weighted_seq_norm,
     norm_equivalence_gap,
     schwartz_seminorm,
     sigma_seminorm,
@@ -104,6 +105,30 @@ class TestWeightedSeqNorm:
             n_2 = weighted_seq_norm(a, params, 2)
             n_1 = weighted_seq_norm(a, params, 1)
             assert n_inf <= n_2 <= n_1
+
+    def test_log_form_matches_the_value(self):
+        rng = np.random.default_rng(9)
+        a = random_field(rng, 2, 10)
+        params = SpaceParams(0.7, 1.5)
+        for p in (1, 2, math.inf):
+            assert log_weighted_seq_norm(a, params, p) == pytest.approx(
+                math.log(weighted_seq_norm(a, params, p)), rel=1e-14)
+        assert log_weighted_seq_norm(CoefficientField(1, "total", 2, {}), params, 2) == -math.inf
+
+    def test_beyond_binary64_is_inf_with_finite_log(self):
+        a = CoefficientField(1, "total", 1, {(0,): 1e308, (1,): 1e308})
+        params = SpaceParams(1.0, 1.0)
+        assert weighted_seq_norm(a, params, 1) == math.inf
+        assert log_weighted_seq_norm(a, params, 1) == pytest.approx(
+            math.log(1e308) + math.log1p(math.e), rel=1e-15)
+
+    def test_tiny_alpha_weight_overflows_to_inf(self):
+        params = SpaceParams(1e-5, 1.0)
+        assert log_theta_weight(3, params) == math.inf
+        assert theta_weight((3,), params) == math.inf
+        a = CoefficientField(1, "total", 3, {(0,): 1.0, (3,): 0.5})
+        for p in (1, 2, math.inf):
+            assert weighted_seq_norm(a, params, p) == math.inf
 
 
 class TestNormEquivalence:
@@ -205,6 +230,14 @@ class TestEtaSeminorm:
         assert res.value == pytest.approx(4.5, rel=1e-12)
         assert res.argmax in (2, 3)
         assert not res.growing
+
+    def test_value_beyond_binary64_is_inf_with_finite_log(self):
+        a = CoefficientField(1, "total", 3, {(3,): 1.0})
+        res = eta_seminorm(a, SpaceParams(0.1, 1e-9), 60)
+        # the ratio 3^N / (h^N N!^0.1) still grows at N = 60
+        expected = 60 * math.log(3.0) - 60 * math.log(1e-9) - 0.1 * math.lgamma(61)
+        assert res.value == math.inf and res.argmax == 60 and res.growing
+        assert res.log_value == pytest.approx(expected, rel=1e-14)
 
     def test_alpha_zero_finite_iff_index_below_scale(self):
         h = 3.0

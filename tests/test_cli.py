@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthlag.cli import main
 from orthlag.transform import read_coefficients, write_coefficients
@@ -155,6 +160,45 @@ class TestNormsEtaClassify:
         val = float(out.splitlines()[-1].split(": ")[1])
         assert val == pytest.approx(math.exp(2.0 * math.sqrt(5.0)), rel=1e-13)
 
+    def test_norms_prints_the_log_next_to_the_value(self, tmp_path, capsys):
+        path = self.write_geometric(tmp_path)
+        code, out, _ = run(capsys, "norms", "--in", str(path),
+                           "--alpha", "1.0", "--h", "1.0", "--p", "2")
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0
+        assert float(fields["log_norm"]) == pytest.approx(math.log(float(fields["norm"])), rel=1e-14)
+
+    @pytest.mark.parametrize("p", ["1", "2", "inf"])
+    def test_norms_beyond_binary64_print_inf(self, tmp_path, capsys, p):
+        a = CoefficientField(1, "total", 1, {(0,): 1e308, (1,): 1e308})
+        path = tmp_path / "big.txt"
+        write_coefficients(a, path)
+        code, out, err = run(capsys, "norms", "--in", str(path),
+                             "--alpha", "1.0", "--h", "1.0", "--p", p)
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0 and err == ""
+        assert fields["norm"] == "inf"
+        # log of (1e308^p + (1e308 e)^p)^(1/p)
+        expected = math.log(1e308) + {"1": math.log1p(math.e),
+                                      "2": 0.5 * math.log1p(math.e ** 2), "inf": 1.0}[p]
+        assert float(fields["log_norm"]) == pytest.approx(expected, rel=1e-15)
+
+    def test_norms_with_tiny_alpha_print_inf(self, tmp_path, capsys):
+        path = self.write_geometric(tmp_path, degree=3)
+        code, out, err = run(capsys, "norms", "--in", str(path),
+                             "--alpha", "1e-5", "--h", "1.0", "--p", "1")
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0 and err == ""
+        assert fields["norm"] == "inf" and fields["log_norm"] == "inf"
+
+    def test_eta_beyond_binary64_prints_inf(self, tmp_path, capsys):
+        path = self.write_geometric(tmp_path, degree=3)
+        code, out, err = run(capsys, "eta", "--in", str(path), "--alpha", "0.1", "--h", "1e-9")
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0 and err == ""
+        assert fields["value"] == "inf" and fields["argmax_N"] == "60"
+        assert 700.0 < float(fields["log_value"]) < math.inf
+
     def test_norms_rejects_p_below_one(self, tmp_path, capsys):
         path = self.write_geometric(tmp_path)
         code, _, _ = run(capsys, "norms", "--in", str(path),
@@ -171,6 +215,7 @@ class TestNormsEtaClassify:
         fields = dict(line.split(": ") for line in out.splitlines())
         assert float(fields["value"]) == pytest.approx(4.5, rel=1e-12)
         assert fields["still_growing"] == "False"
+        assert float(fields["log_value"]) == pytest.approx(math.log(4.5), rel=1e-12)
 
     def test_classify_geometric_is_member(self, tmp_path, capsys):
         path = self.write_geometric(tmp_path, degree=120)
@@ -202,6 +247,12 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage(self, capsys):
         assert run(capsys, "quad")[0] == 1
 
+    @pytest.mark.parametrize("argv", [("verify", "--threads", "2"),
+                                      ("quad", "--nodes", "4", "--dim", "2")])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err
+
     def test_bad_node_count_is_domain(self, capsys):
         assert run(capsys, "quad", "--nodes", "0")[0] == 2
 
@@ -209,3 +260,84 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert out.startswith("orthlag ")
+
+
+class TestMalformedCoefficientFiles:
+    HEADER = "dim: 1\ntruncation_kind: total\ntruncation_degree: 3\n"
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,1.0\n1,nan\n", "not finite"),
+        ("0,1.0\n1,-inf\n", "not finite"),
+        ("0,1.0\n2,0.5\n0,2.0\n", "duplicate record"),
+    ])
+    def test_one_line_domain_error(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(self.HEADER + body)
+        code, out, err = run(capsys, "norms", "--in", str(path), "--alpha", "1", "--h", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_power_beyond_binary64_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text(self.HEADER + "3,1.0\n")
+        code, _, err = run(capsys, "operator", "apply", "--power", "800",
+                           "--in", str(path), "--out", str(tmp_path / "o.txt"))
+        assert code == 2 and "not finite" in err
+
+
+def _mostly(draw, good, bad):
+    """A draw from `good` as text, or about one time in five from `bad`
+    (hypothesis favours the ends of a range, so the rare case is a middle value)."""
+    return draw(bad) if draw(st.integers(0, 4)) == 2 else str(draw(good))
+
+
+@st.composite
+def coefficient_files(draw):
+    """Coefficient files that may break any rule of the format: bad or
+    missing headers, records of the wrong arity, negative or out-of-bound
+    indices, non-numeric or non-finite values, duplicate records."""
+    junk = st.sampled_from(["", "x", "-1", "0", "2.5", "1e3", "nan", "9" * 30])
+    dim = draw(st.integers(1, 3))
+    header = {
+        "dim": _mostly(draw, st.just(dim), junk),
+        "truncation_kind": _mostly(draw, st.sampled_from(["total", "box"]), junk),
+        "truncation_degree": _mostly(draw, st.integers(0, 5), junk),
+    }
+    lines = [f"{k}: {v}" for k, v in header.items() if draw(st.integers(0, 9)) != 5]
+    values = st.sampled_from(["abc", "", "1e999", "-1e999", "0x10", "1;0"])
+    for _ in range(draw(st.integers(0, 8))):
+        arity = dim + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        idx = [_mostly(draw, st.integers(-1, 6), st.sampled_from(["", "a", "1.5"]))
+               for _ in range(max(arity, 0))]
+        lines.append(",".join(idx + [_mostly(draw, st.floats(), values)]))
+    if len(lines) > 3 and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines[3:])))  # a duplicate record
+    return "\n".join(lines) + "\n"
+
+
+COMMANDS = st.sampled_from([
+    ["norms", "--alpha", "1", "--h", "1", "--p", "1"],
+    ["norms", "--alpha", "0.5", "--h", "3", "--p", "inf"],
+    ["eta", "--alpha", "1", "--h", "1", "--nmax", "5"],
+    ["classify", "--alpha", "1"],
+    ["operator", "apply", "--power", "2", "--out", "OUT"],
+    ["propagate", "--time", "0.5", "--out", "OUT"],
+])
+
+
+@given(text=coefficient_files(), argv=COMMANDS)
+@settings(max_examples=200, deadline=None)
+def test_malformed_coefficient_files_end_in_an_exit_code(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_text(text)
+        argv = [str(Path(tmp) / "out.txt") if a == "OUT" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--in", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("orthlag: ")
+        assert "Traceback" not in err.getvalue()

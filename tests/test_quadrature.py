@@ -107,12 +107,16 @@ class TestIntegrateOrthant:
         with pytest.raises(DomainError, match="non-finite"):
             integrate_orthant(lambda x: math.inf, rule, 1)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_repeated_integral_is_bitwise_identical(self):
         rule = gauss_laguerre_rule(24)
         f = lambda x: math.sin(x[0]) * math.exp(-x[0] - x[1])
-        serial = integrate_orthant(f, rule, 2, threads=None, block_size=64)
-        threaded = integrate_orthant(f, rule, 2, threads=4, block_size=64)
-        assert serial == threaded
+        first = integrate_orthant(f, rule, 2)
+        assert all(integrate_orthant(f, rule, 2) == first for _ in range(3))
+        # the correctly rounded sum of the weighted node values, in any order
+        w = rule.modified_weights
+        terms = [w[i] * w[j] * f(np.array([rule.nodes[i], rule.nodes[j]]))
+                 for j in range(rule.size) for i in range(rule.size)]
+        assert first == math.fsum(terms)
 
 
 def test_default_rule_size_margin():

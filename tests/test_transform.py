@@ -1,10 +1,11 @@
 import math
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 
-from orthlag.core import DomainError, total_degree_indices
+from orthlag.core import DomainError, laguerre_fn_sweep, total_degree_indices, truncation_indices
 from orthlag.fields import exp_decay_field, laguerre_field, separable_poly_exp_field
 from orthlag.quadrature import gauss_laguerre_rule
 from orthlag.transform import (
@@ -102,6 +103,40 @@ class TestAnalyze:
             assert large.get(n) == pytest.approx(small.get(n), abs=1e-12)
 
 
+def reference_analyze(f, degree, rule, kind="total"):
+    """The former d >= 3 transform, kept as the reference: stream the node
+    grid and add w(x) f(x) l_n(x) for every n with math.fsum."""
+    d = f.dim
+    nodes, wmod = rule.nodes, rule.modified_weights
+    V = laguerre_fn_sweep(degree, nodes)
+    indices = list(truncation_indices(kind, d, degree))
+    acc = {n: [] for n in indices}
+    for tup in product(range(rule.size), repeat=d):
+        wf = float(np.prod(wmod[list(tup)])) * float(f.evaluator(nodes[list(tup)]))
+        for n in indices:
+            basis = 1.0
+            for j, nj in enumerate(n):
+                basis *= V[nj, tup[j]]
+            acc[n].append(wf * basis)
+    return {n: math.fsum(terms) for n, terms in acc.items()}
+
+
+@pytest.mark.parametrize("d,degree,K,kind", [
+    (1, 30, 46, "total"), (2, 12, 24, "total"), (2, 6, 12, "box"), (3, 6, 10, "total"),
+])
+def test_analyze_matches_the_per_point_reference(d, degree, K, kind):
+    # not a product over axes: the sum factorization must not rely on it
+    c = np.array([1.0, 0.5, 0.3])[:d]
+    f = ScalarField(d, lambda x: math.exp(-0.6 * x.sum()) * (1.0 + math.sin(x @ c)))
+    rule = gauss_laguerre_rule(K)
+    ref = reference_analyze(f, degree, rule, kind)
+    a = analyze(f, degree, rule, kind)
+    assert sorted(a.entries) == sorted(ref)
+    got = np.array([a.entries[n] for n in ref])
+    want = np.array(list(ref.values()))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestSynthesize:
     def test_single_term(self):
         a = CoefficientField(1, "total", 0, {(0,): 1.0})
@@ -166,6 +201,11 @@ class TestCoefficientField:
         with pytest.raises(DomainError):
             CoefficientField(2, "total", 3, {(1,): 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(DomainError, match="not finite"):
+            CoefficientField(1, "total", 3, {(0,): 1.0, (2,): value})
+
     def test_stored_indices_graded_lex(self):
         a = CoefficientField(2, "total", 3, {(2, 0): 1.0, (0, 1): 2.0, (0, 0): 3.0})
         assert a.stored_indices() == [(0, 0), (0, 1), (2, 0)]
@@ -206,4 +246,11 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("dim: 1\n0,1.0\n")
         with pytest.raises(DomainError):
+            read_coefficients(path)
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("dim: 2\ntruncation_kind: total\ntruncation_degree: 2\n"
+                        "0,1,1.0\n1,0,2.0\n0,1,3.0\n")
+        with pytest.raises(DomainError, match=r"duplicate record for index \(0, 1\)"):
             read_coefficients(path)

@@ -24,7 +24,6 @@ from .transform import (
     write_coefficients,
 )
 from .operators import (
-    SpectralMultiplier,
     apply_E_pointwise,
     apply_E_spectral,
     iterate_norm,
@@ -63,7 +62,6 @@ __all__ = [
     "parseval_l2_norm",
     "read_coefficients",
     "write_coefficients",
-    "SpectralMultiplier",
     "apply_E_spectral",
     "apply_E_pointwise",
     "iterate_norm",

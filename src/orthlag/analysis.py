@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DomainError, exp_or_inf, index_order, total_degree_indices
-from .operators import log_iterate_norm
+from .operators import log_iterate_norm, log_shell_weighted_norm
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
 from .transform import CoefficientField, ScalarField
 
@@ -70,18 +69,7 @@ def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) ->
     """log of `weighted_seq_norm`; -inf when the norm is zero."""
     if p < 1:
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
-    logs = []
-    for n, v in a.entries.items():
-        if v == 0.0:
-            continue
-        logs.append(math.log(abs(v)) + log_theta_weight(index_order(n), params))
-    if not logs:
-        return -math.inf
-    arr = np.array(logs)
-    if math.isinf(p):
-        return float(arr.max())
-    with np.errstate(over="ignore"):
-        return float(logsumexp(p * arr)) / p
+    return log_shell_weighted_norm(a, lambda m: log_theta_weight(m, params), p)
 
 
 def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
@@ -106,26 +94,26 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
 
     The bound constant is the truncated value of
     C = (sum over the truncation set of e^{2 (h1-h) |n|^{1/(2 alpha)}})^{1/2}.
-    """
+    The ratio comes from the log norms, so it stays finite where both norms
+    exceed binary64 (small alpha); a log norm that is inf is a domain error."""
     if not 0 < h1 < h:
         raise DomainError(f"need 0 < h1 < h, got h1={h1}, h={h}")
-    l2 = weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h1), 2)
-    sup = weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
-    shell_counts: dict[int, int] = {}
-    for n in a.truncation_set():
-        m = index_order(n)
-        shell_counts[m] = shell_counts.get(m, 0) + 1
-    exponent = 1.0 / (2.0 * alpha)
-    total = math.fsum(
-        cnt * math.exp(2.0 * (h1 - h) * m ** exponent) for m, cnt in shell_counts.items()
-    )
-    constant = math.sqrt(total)
-    ratio = 0.0 if sup == 0.0 else l2 / sup
+    log_l2 = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h1), 2)
+    log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
+    if math.inf in (log_l2, log_sup):
+        raise DomainError(f"a weighted norm is beyond binary64 even in log form at alpha={alpha}")
+    counts = np.bincount([index_order(n) for n in a.truncation_set()])
+    # per shell e^{-2 (h-h1) m^{1/(2 alpha)}}, which is 0 where the exponent overflows
+    gap = SpaceParams(alpha=alpha, scale=h - h1)
+    shell_terms = counts * np.array([math.exp(-2.0 * log_theta_weight(m, gap)) for m in range(counts.size)])
+    constant = math.sqrt(math.fsum(shell_terms.tolist()))
+    ratio = 0.0 if log_sup == -math.inf else math.exp(log_l2 - log_sup)
     if ratio > constant * (1.0 + 1e-12):
         raise ArithmeticError(
             f"norm-equivalence bound violated: ratio {ratio} exceeds constant {constant}"
         )
-    return EquivalenceReport(l2_norm=l2, sup_norm=sup, ratio=ratio, constant=constant)
+    return EquivalenceReport(l2_norm=exp_or_inf(log_l2), sup_norm=exp_or_inf(log_sup),
+                             ratio=ratio, constant=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +147,12 @@ class DecayFit:
 
 
 def _shell_points(a: CoefficientField, floor: float):
-    maxima = a.shell_maxima()
-    nonzero = {m: b for m, b in maxima.items() if b > 0.0}
-    usable = sorted((m, b) for m, b in nonzero.items() if b > floor)
-    return nonzero, usable
+    """(number of shells with a nonzero maximum, the shells m whose maximum
+    b_m exceeds the floor, log b_m on those shells)."""
+    shells, maxima = a.shell_maxima()
+    usable = maxima > floor
+    ys = np.array([math.log(b) for b in maxima[usable].tolist()])
+    return int(np.count_nonzero(maxima)), shells[usable].astype(float), ys
 
 
 def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t: float):
@@ -204,16 +194,14 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
     """
     if floor <= 0:
         raise DomainError(f"floor must be positive, got {floor}")
-    nonzero, usable = _shell_points(a, floor)
-    if len(usable) < 3:
-        finite = len(nonzero) < 3
+    n_nonzero, ms, ys = _shell_points(a, floor)
+    if ms.size < 3:
+        finite = n_nonzero < 3
         raise InsufficientSupportError(
             "fewer than 3 coefficient shells above the floor"
             + ("; sequence is finitely supported" if finite else ""),
             finitely_supported=finite,
         )
-    ms = np.array([m for m, _ in usable], dtype=float)
-    ys = np.array([math.log(b) for _, b in usable])
 
     def rss(t):
         return _linear_decay_fit(ms, ys, t)[2]
@@ -228,7 +216,7 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
         alpha_hat=1.0 / (2.0 * t_hat),
         c_hat=c_hat,
         residual=resid,
-        support_size=len(usable),
+        support_size=ms.size,
         exponent=t_hat,
         log_amplitude=log_c0,
     )
@@ -330,10 +318,8 @@ def classify_membership(
         )
     # Boundary exponent: compare the fitted rate (exponent pinned at the
     # target) on the first half of the shells against the full range.
-    _, usable = _shell_points(a, floor)
-    ms = np.array([m for m, _ in usable], dtype=float)
-    ys = np.array([math.log(b) for _, b in usable])
-    half = len(usable) // 2
+    _, ms, ys = _shell_points(a, floor)
+    half = ms.size // 2
     _, c_half, _ = _linear_decay_fit(ms[:half], ys[:half], target)
     _, c_full, _ = _linear_decay_fit(ms, ys, target)
     trend = (c_half, c_full)
@@ -479,11 +465,6 @@ class GTypeReport:
     argmax: tuple[tuple[int, ...], tuple[int, ...]]
     running_max: list[float]
     increments: list[float]
-
-    @property
-    def stabilized(self) -> bool:
-        """True when the last order added nothing to the running maximum."""
-        return bool(self.increments) and self.increments[-1] == 0.0
 
 
 def gtype_seminorm(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .core import DomainError, exp_or_inf
 from .fields import field_by_name
 from .operators import apply_E_spectral, semigroup_propagate
 from .quadrature import default_rule_size, gauss_laguerre_rule
-from .transform import analyze, read_coefficients, synthesize, write_coefficients
+from .transform import analyze, as_scalar_field, read_coefficients, synthesize, write_coefficients
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--fn", help="built-in field name (exp-decay, l:<idx>, poly-exp:<coeffs>)")
     src.add_argument("--coeffs", dest="coeffs_in", help="coefficient file defining the input field")
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension (default 1 for --fn, the file's for --coeffs)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--truncation", choices=("total", "box"), default="total")
     p.add_argument("--nodes", type=int, default=None, help="rule size (default degree + 16)")
@@ -119,11 +121,12 @@ def cmd_quad(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.fn is not None:
-        f = field_by_name(args.fn, args.dim)
+        f = field_by_name(args.fn, 1 if args.dim is None else args.dim)
     else:
-        from .transform import as_scalar_field
-
-        f = as_scalar_field(read_coefficients(args.coeffs_in))
+        a = read_coefficients(args.coeffs_in)
+        if args.dim not in (None, a.dim):
+            raise DomainError(f"--dim {args.dim} does not match the dimension {a.dim} of {args.coeffs_in}")
+        f = as_scalar_field(a)
     K = args.nodes if args.nodes is not None else default_rule_size(args.degree)
     if K < args.degree + 1 and not args.force_nodes:
         raise DomainError(
@@ -138,7 +141,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     a = read_coefficients(args.coeffs_in)
-    pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+        pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+    if pts.size == 0:
+        raise DomainError(f"points file {args.points} holds no points")
     if pts.shape[1] != a.dim:
         raise DomainError(f"points file has {pts.shape[1]} columns, expected {a.dim}")
     vals = synthesize(a, pts)

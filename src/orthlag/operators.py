@@ -12,67 +12,63 @@ coefficient at index n by |n|^N, the semigroup at time t by e^{-t|n|}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import DomainError, exp_or_inf, index_order, validate_point
+from .core import DomainError, exp_or_inf, validate_point
 from .transform import CoefficientField, ScalarField
 
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Diagonal action n -> rule(n) on coefficient fields."""
-
-    rule: Callable[[tuple[int, ...]], float]
-    descriptor: str
+def apply_multiplier(a: CoefficientField, factors: np.ndarray) -> CoefficientField:
+    """Scale each stored term by its factor (one per term, in `a.index` order)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the coefficient check rejects non-finite products
+        return a.with_values(factors * a.values)
 
 
-def power_multiplier(N: int) -> SpectralMultiplier:
-    """|n|^N with the convention 0^0 = 1 (N = 0 is the identity)."""
+def _check_power(N) -> int:
     if N != int(N) or N < 0:
         raise DomainError(f"operator power must be a nonnegative integer, got {N!r}")
-    N = int(N)
+    return int(N)
 
-    def rule(n):
-        m = index_order(n)
-        if N == 0:
-            return 1.0
-        if m == 0:
-            return 0.0
+
+def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
+    """Coefficients of E^N f: entry at n scaled by |n|^N (0^0 = 1, so N = 0
+    is the identity)."""
+    N = _check_power(N)
+
+    def power(m):
         try:
             return float(m) ** N
         except OverflowError:  # the coefficient check rejects it as non-finite
             return math.inf
 
-    return SpectralMultiplier(rule=rule, descriptor=f"E^{N}")
-
-
-def semigroup_multiplier(t: float) -> SpectralMultiplier:
-    """e^{-t|n|} for t >= 0."""
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
-
-    def rule(n):
-        return math.exp(-t * index_order(n))
-
-    return SpectralMultiplier(rule=rule, descriptor=f"exp(-{t}E)")
-
-
-def apply_multiplier(a: CoefficientField, mult: SpectralMultiplier) -> CoefficientField:
-    return a.with_entries({n: mult.rule(n) * v for n, v in a.entries.items()})
-
-
-def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
-    """Coefficients of E^N f: entry at n scaled by |n|^N."""
-    return apply_multiplier(a, power_multiplier(N))
+    return apply_multiplier(a, a.per_shell(power))
 
 
 def semigroup_propagate(a: CoefficientField, t: float) -> CoefficientField:
-    """Coefficients of e^{-tE} f: entry at n scaled by e^{-t|n|}."""
-    return apply_multiplier(a, semigroup_multiplier(t))
+    """Coefficients of e^{-tE} f: entry at n scaled by e^{-t|n|}, t >= 0."""
+    if t < 0 or not math.isfinite(t):
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
+    return apply_multiplier(a, a.per_shell(lambda m: math.exp(-t * m)))
+
+
+def log_shell_weighted_norm(a: CoefficientField, log_weight: Callable[[int], float], p: float) -> float:
+    """log of the l^p norm of {|a_n| e^{log_weight(|n|)}}; -inf when it is zero.
+
+    Terms with a_n = 0 or a zero weight are left out.  log|a_n| is taken with
+    `math.log`, so results match the scalar formula bit for bit."""
+    nonzero = a.values != 0.0
+    log_abs = np.array([math.log(v) for v in np.abs(a.values[nonzero]).tolist()])
+    logs = log_abs + a.per_shell(log_weight)[nonzero]
+    logs = logs[logs > -math.inf]
+    if logs.size == 0:
+        return -math.inf
+    if math.isinf(p):
+        return float(logs.max())
+    with np.errstate(over="ignore"):
+        return float(logsumexp(p * logs)) / p
 
 
 def iterate_norm(a: CoefficientField, N: int) -> float:
@@ -87,22 +83,14 @@ def iterate_norm(a: CoefficientField, N: int) -> float:
 
 def log_iterate_norm(a: CoefficientField, N: int) -> float:
     """log of `iterate_norm`; -inf when the norm is zero."""
-    if N != int(N) or N < 0:
-        raise DomainError(f"operator power must be a nonnegative integer, got {N!r}")
-    N = int(N)
-    logs = []
-    for n, v in a.entries.items():
-        if v == 0.0:
-            continue
-        m = index_order(n)
+    N = _check_power(N)
+
+    def log_power(m):  # log |n|^N, with 0^0 = 1
         if m == 0:
-            if N == 0:
-                logs.append(2.0 * math.log(abs(v)))
-            continue
-        logs.append(2.0 * N * math.log(m) + 2.0 * math.log(abs(v)))
-    if not logs:
-        return -math.inf
-    return 0.5 * float(logsumexp(np.array(logs)))
+            return 0.0 if N == 0 else -math.inf
+        return N * math.log(m)
+
+    return log_shell_weighted_norm(a, log_power, 2)
 
 
 def apply_E_pointwise(f: ScalarField, x) -> float:

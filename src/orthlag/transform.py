@@ -8,15 +8,15 @@ truncated either by total degree |n| <= M (default) or per-axis box n_j <= M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     DomainError,
-    graded_lex_key,
-    index_order,
     laguerre_fn_derivative_sweep,
     laguerre_fn_sweep,
     truncation_indices,
@@ -47,80 +47,106 @@ class ScalarField:
         return float(self.evaluator(np.asarray(x, dtype=float)))
 
 
-@dataclass
 class CoefficientField:
-    """Truncated map multi-index -> coefficient; absent entries are zero."""
+    """Truncated map multi-index -> coefficient; absent entries are zero.
 
-    dim: int
-    truncation_kind: str
-    degree: int
-    entries: dict[tuple[int, ...], float] = field(default_factory=dict)
+    The stored terms are three read-only arrays in graded lexicographic
+    order: `index` (n_terms, d) int64, `values` float64 and
+    `orders` = |n| = index.sum(1).
+    """
 
-    def __post_init__(self):
-        if self.truncation_kind not in TRUNCATION_KINDS:
+    def __init__(self, dim: int, truncation_kind: str, degree: int,
+                 entries: Mapping[Sequence[int], float] | None = None):
+        if truncation_kind not in TRUNCATION_KINDS:
             raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
-        if self.dim < 1 or self.degree < 0:
+        if dim < 1 or degree < 0:
             raise DomainError("dimension must be >= 1 and degree >= 0")
-        clean = {}
-        for n, v in self.entries.items():
-            n = validate_multi_index(n)
-            if len(n) != self.dim:
-                raise DomainError(f"index {n} has wrong dimension (expected {self.dim})")
-            if not self._respects_bound(n):
-                raise DomainError(f"index {n} violates {self.truncation_kind} bound {self.degree}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient at index {n} is not finite: {v!r}")
-            clean[n] = v
-        self.entries = clean
+        if (degree if truncation_kind == "total" else degree * dim) >= 2**63:
+            # every allowed |n|, and so every n_j, must fit in int64
+            raise DomainError(f"{truncation_kind} degree {degree} in dimension {dim} allows |n| >= 2^63")
+        self.dim, self.truncation_kind, self.degree = dim, truncation_kind, degree
+        entries = {} if entries is None else entries
+        reach = sum if truncation_kind == "total" else max
+        rows = []
+        for n in map(validate_multi_index, entries):
+            if len(n) != dim:
+                raise DomainError(f"index {n} has wrong dimension (expected {dim})")
+            if reach(n) > degree:
+                raise DomainError(f"index {n} violates {truncation_kind} bound {degree}")
+            rows.append(n)
+        index = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+        values = np.array(list(entries.values()), dtype=float)
+        orders = index.sum(axis=1)
+        order = np.lexsort((*index.T[::-1], orders))  # the last key sorts first
+        self._set(index[order], values[order], orders[order])
 
-    def _respects_bound(self, n: tuple[int, ...]) -> bool:
-        if self.truncation_kind == "total":
-            return sum(n) <= self.degree
-        return max(n) <= self.degree
+    def _set(self, index: np.ndarray, values: np.ndarray, orders: np.ndarray) -> None:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            n, v = tuple(index[bad[0]].tolist()), float(values[bad[0]])
+            raise DomainError(f"coefficient at index {n} is not finite: {v!r}")
+        for arr in (index, values, orders):
+            arr.setflags(write=False)
+        self.index, self.values, self.orders = index, values, orders
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientField):
+            return NotImplemented
+        return ((self.dim, self.truncation_kind, self.degree)
+                == (other.dim, other.truncation_kind, other.degree)
+                and np.array_equal(self.index, other.index)
+                and np.array_equal(self.values, other.values))
+
+    def __repr__(self) -> str:
+        return (f"CoefficientField(dim={self.dim}, truncation_kind={self.truncation_kind!r}, "
+                f"degree={self.degree}, terms={self.values.size})")
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only view index tuple -> value, built on first use."""
+        return MappingProxyType(dict(zip(map(tuple, self.index.tolist()), self.values.tolist())))
 
     def get(self, n: Sequence[int]) -> float:
         return self.entries.get(tuple(n), 0.0)
-
-    def stored_indices(self) -> list[tuple[int, ...]]:
-        """Stored indices in graded lexicographic order."""
-        return sorted(self.entries, key=graded_lex_key)
 
     def truncation_set(self) -> Iterator[tuple[int, ...]]:
         """The full truncation index set (stored or not), graded lex."""
         return truncation_indices(self.truncation_kind, self.dim, self.degree)
 
-    def with_entries(self, entries: dict) -> "CoefficientField":
-        return CoefficientField(self.dim, self.truncation_kind, self.degree, entries)
-
-    def shell_sums_of_squares(self) -> dict[int, float]:
-        """Sum of a_n^2 over each shell |n| = m (stored entries only)."""
-        out: dict[int, float] = {}
-        for n, v in self.entries.items():
-            m = index_order(n)
-            out[m] = out.get(m, 0.0) + v * v
+    def with_values(self, values) -> "CoefficientField":
+        """The same stored indices with new values, one per term in `index` order."""
+        values = np.array(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise DomainError(f"need {self.values.size} values, got shape {values.shape}")
+        out = object.__new__(CoefficientField)
+        out.dim, out.truncation_kind, out.degree = self.dim, self.truncation_kind, self.degree
+        out._set(self.index, values, self.orders)
         return out
 
-    def shell_maxima(self) -> dict[int, float]:
-        """max |a_n| over each shell |n| = m (stored entries only)."""
-        out: dict[int, float] = {}
-        for n, v in self.entries.items():
-            m = index_order(n)
-            out[m] = max(out.get(m, 0.0), abs(v))
-        return out
+    @cached_property
+    def _shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the shells m that hold a stored term, increasing; each term's
+        position among them)."""
+        return np.unique(self.orders, return_inverse=True)
+
+    def per_shell(self, fn: Callable[[int], float]) -> np.ndarray:
+        """fn(|n|) for each stored term, with one call of fn per shell that
+        holds a term (a sparse field with a huge |n| costs no more)."""
+        shells, inverse = self._shells
+        return np.array([fn(m) for m in shells.tolist()], dtype=float)[inverse]
+
+    def shell_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shells m, max |a_n| over |n| = m), over the shells that hold a
+        stored entry, in increasing m."""
+        shells, inverse = self._shells
+        maxima = np.zeros(shells.size)
+        np.maximum.at(maxima, inverse, np.abs(self.values))
+        return shells, maxima
 
 
 def parseval_l2_norm(a: CoefficientField) -> float:
     """L2 norm of the truncated series, sqrt(sum a_n^2), by orthonormality."""
-    return math.sqrt(math.fsum(v * v for v in a.entries.values()))
-
-
-def _per_axis_degrees(a: CoefficientField) -> list[int]:
-    degs = [0] * a.dim
-    for n in a.entries:
-        for j, nj in enumerate(n):
-            degs[j] = max(degs[j], nj)
-    return degs
+    return math.sqrt(math.fsum((a.values * a.values).tolist()))
 
 
 def analyze(
@@ -158,30 +184,37 @@ def analyze(
 def synthesize(a: CoefficientField, points) -> np.ndarray:
     """Evaluate the truncated series sum_n a_n l_n at each point.
 
-    Terms are summed in graded lexicographic index order, so the result is
-    deterministic for fixed inputs.
+    Each term's factors l_{n_j}(x_j) are gathered from the per-axis sweeps by
+    the columns of `index`, multiplied over the axes and summed against
+    `values`.  Points go through in blocks sized so that a gathered block
+    holds at most about 2^16 values (one point when there are more terms), so
+    the memory beyond the sweeps grows with the number of terms only.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != a.dim:
         raise DomainError(f"points have dimension {pts.shape[1]}, expected {a.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("point coordinates must be finite")
     if np.any(pts < 0):
         raise DomainError("points must lie in the closed orthant")
-    degs = _per_axis_degrees(a)
-    sweeps = [laguerre_fn_sweep(degs[j], pts[:, j]) for j in range(a.dim)]
-    out = np.zeros(pts.shape[0])
-    for n in a.stored_indices():
-        term = np.full(pts.shape[0], a.entries[n])
-        for j, nj in enumerate(n):
-            term = term * sweeps[j][nj]
-        out += term
+    if a.values.size == 0:
+        return np.zeros(pts.shape[0])
+    sweeps = [laguerre_fn_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
+    block = max(1, 2**16 // a.values.size)
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], block):
+        cols = slice(lo, lo + block)
+        terms = sweeps[0][:, cols].take(a.index[:, 0], axis=0)  # (terms, points)
+        for j in range(1, a.dim):
+            terms *= sweeps[j][:, cols].take(a.index[:, j], axis=0)
+        out[cols] = a.values @ terms
     return out
 
 
 def as_scalar_field(a: CoefficientField) -> ScalarField:
     """Wrap a coefficient field as an evaluable function with exact
     per-axis first and second derivatives (differentiated termwise)."""
-    degs = _per_axis_degrees(a)
-    order = sorted(a.entries, key=graded_lex_key)
+    degs = a.index.max(axis=0, initial=0)
 
     def evaluator(x):
         return float(synthesize(a, np.asarray(x, dtype=float)[None, :])[0])
@@ -190,25 +223,18 @@ def as_scalar_field(a: CoefficientField) -> ScalarField:
         pt = validate_point(x)
         if pt.size != a.dim:
             raise DomainError(f"point has dimension {pt.size}, expected {a.dim}")
-        trip = [laguerre_fn_derivative_sweep(degs[j], pt[j]) for j in range(a.dim)]
-        val = 0.0
-        d1 = [0.0] * a.dim
-        d2 = [0.0] * a.dim
-        for n in order:
-            c = a.entries[n]
-            axis_vals = [trip[j][0][nj, 0] for j, nj in enumerate(n)]
-            prod_all = 1.0
-            for v in axis_vals:
-                prod_all *= v
-            val += c * prod_all
-            for j, nj in enumerate(n):
-                rest = 1.0
-                for i, v in enumerate(axis_vals):
-                    if i != j:
-                        rest *= v
-                d1[j] += c * trip[j][1][nj, 0] * rest
-                d2[j] += c * trip[j][2][nj, 0] * rest
-        return [(val, d1[j], d2[j]) for j in range(a.dim)]
+        # row j holds l_{n_j}(x_j) (and its derivatives) for every term n
+        vals, d1s, d2s = (np.empty((a.dim, a.values.size)) for _ in range(3))
+        for j in range(a.dim):
+            sweeps = laguerre_fn_derivative_sweep(int(degs[j]), pt[j])
+            for row, sweep in zip((vals, d1s, d2s), sweeps):
+                row[j] = sweep[a.index[:, j], 0]
+        val = float(a.values @ vals.prod(axis=0))
+        out = []
+        for j in range(a.dim):
+            rest = a.values * np.delete(vals, j, axis=0).prod(axis=0)
+            out.append((val, float(rest @ d1s[j]), float(rest @ d2s[j])))
+        return out
 
     return ScalarField(dim=a.dim, evaluator=evaluator, deriv=deriv)
 
@@ -225,8 +251,8 @@ def write_coefficients(a: CoefficientField, path) -> None:
         f"truncation_kind: {a.truncation_kind}",
         f"truncation_degree: {a.degree}",
     ]
-    for n in a.stored_indices():
-        lines.append(",".join(str(v) for v in n) + "," + repr(a.entries[n]))
+    for n, v in zip(a.index.tolist(), a.values.tolist()):
+        lines.append(",".join(str(nj) for nj in n) + "," + repr(v))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

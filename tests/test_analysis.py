@@ -155,6 +155,39 @@ class TestNormEquivalence:
         with pytest.raises(DomainError):
             norm_equivalence_gap(a, h=1.0, h1=1.0, alpha=1.0)
 
+    SMALL_ALPHA_FIELD = {(0,): 1.0, (1,): -0.5, (2,): 0.25, (3,): 0.125}
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-3])
+    def test_small_alpha_norms_beyond_binary64(self, alpha):
+        # both weighted norms are inf; the true ratio, about e^{-3^(1/(2 alpha))},
+        # is below the smallest subnormal, and the shells m >= 2 add nothing
+        # to the constant
+        a = CoefficientField(1, "total", 3, self.SMALL_ALPHA_FIELD)
+        rep = norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=alpha)
+        assert rep.l2_norm == rep.sup_norm == math.inf
+        assert rep.ratio == 0.0
+        assert rep.constant == math.sqrt(1.0 + math.exp(-2.0))
+
+    def test_small_alpha_ratio_from_the_log_norms(self):
+        import mpmath
+
+        alpha, h, h1 = 0.05, 1.0, 1.0 - 1e-4
+        a = CoefficientField(1, "total", 3, self.SMALL_ALPHA_FIELD)
+        rep = norm_equivalence_gap(a, h=h, h1=h1, alpha=alpha)
+        mpmath.mp.dps = 50
+        e = mpmath.mpf(1) / (2 * mpmath.mpf(alpha))
+        l2 = mpmath.sqrt(mpmath.fsum(
+            (v * mpmath.exp(mpmath.mpf(h1) * m ** e)) ** 2 for (m,), v in a.entries.items()))
+        sup = max(abs(v) * mpmath.exp(mpmath.mpf(h) * m ** e) for (m,), v in a.entries.items())
+        assert rep.l2_norm == rep.sup_norm == math.inf
+        assert rep.ratio == pytest.approx(float(l2 / sup), rel=1e-9)
+        assert 0.0 < rep.ratio <= rep.constant
+
+    def test_alpha_whose_log_norm_overflows_is_a_domain_error(self):
+        a = CoefficientField(1, "total", 3, self.SMALL_ALPHA_FIELD)
+        with pytest.raises(DomainError, match="beyond binary64"):
+            norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1e-5)
+
 
 class TestDecayFit:
     def test_recovers_square_root_exponent(self):
@@ -210,7 +243,7 @@ class TestClassifier:
     def test_scale_invariance(self):
         a = stretched(2.0, 0.5, degree=200)
         for c in (-137.5, 1e-8, 3.0):
-            scaled = a.with_entries({n: c * v for n, v in a.entries.items()})
+            scaled = a.with_values(c * a.values)
             assert classify_membership(scaled, 2.0).verdict == VERDICT_ROUMIEU
 
     def test_rejects_nonpositive_alpha(self):
@@ -347,7 +380,8 @@ class TestCrossConsistency:
 
         a = analyze(f, 60, gauss_laguerre_rule(96))
         # drop quadrature noise so the coefficient support is honest
-        a = a.with_entries({n: v for n, v in a.entries.items() if abs(v) > 1e-12})
+        a = CoefficientField(a.dim, a.truncation_kind, a.degree,
+                             {n: v for n, v in a.entries.items() if abs(v) > 1e-12})
         member = classify_membership(a, alpha)
         assert member.is_member
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,19 @@ class TestAnalyze:
         assert code == 2
         assert "domain error" in err
 
+    def test_coefficient_file_dimension_must_match_dim(self, tmp_path, capsys):
+        coeffs = tmp_path / "a.txt"
+        run(capsys, "analyze", "--fn", "exp-decay", "--dim", "2", "--degree", "3",
+            "--out", str(coeffs))
+        argv = ["analyze", "--coeffs", str(coeffs), "--degree", "3", "--out", str(tmp_path / "b.txt")]
+        code, _, err = run(capsys, *argv, "--dim", "3")
+        assert code == 2 and err.count("\n") == 1 and "--dim 3" in err
+        assert not (tmp_path / "b.txt").exists()
+        for dim_flag in ([], ["--dim", "2"]):
+            code, _, err = run(capsys, *argv, *dim_flag)
+            assert code == 0 and err == ""
+            assert read_coefficients(tmp_path / "b.txt").dim == 2
+
     def test_deterministic_across_runs(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a1.txt", tmp_path / "a2.txt"
         for path in (p1, p2):
@@ -111,6 +125,18 @@ class TestSynthesize:
                          "--points", str(pts), "--out", str(tmp_path / "v.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["nan,1.0", "2.0,inf", "1e999,0.5", ""])
+    def test_non_finite_or_missing_points_are_domain_errors(self, tmp_path, capsys, row):
+        coeffs = tmp_path / "a.txt"
+        write_coefficients(CoefficientField(2, "total", 2, {(0, 0): 1.0, (1, 1): -0.5}), coeffs)
+        pts = tmp_path / "pts.csv"
+        pts.write_text(("0.5,0.5\n" if row else "") + row + "\n")
+        code, out, err = run(capsys, "synthesize", "--in", str(coeffs),
+                             "--points", str(pts), "--out", str(tmp_path / "v.csv"))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and ("finite" in err or "no points" in err)
+        assert not (tmp_path / "v.csv").exists()
+
 
 class TestOperatorAndPropagate:
     def make_unit(self, tmp_path, n=(2, 3)):
@@ -140,6 +166,17 @@ class TestOperatorAndPropagate:
         code, _, _ = run(capsys, "propagate", "--time", "-1.0",
                          "--in", str(src), "--out", str(tmp_path / "o.txt"))
         assert code == 2
+
+    def test_box_order_beyond_int64_is_domain_error(self, tmp_path, capsys):
+        # |n| = 2^63 would wrap to a negative int64 order
+        src = tmp_path / "huge.txt"
+        src.write_text(f"dim: 2\ntruncation_kind: box\ntruncation_degree: {2**62}\n"
+                       f"{2**62},{2**62},1.0\n")
+        out = tmp_path / "o.txt"
+        code, _, err = run(capsys, "operator", "apply", "--power", "1",
+                           "--in", str(src), "--out", str(out))
+        assert code == 2 and "2^63" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestNormsEtaClassify:
@@ -341,3 +378,41 @@ def test_malformed_coefficient_files_end_in_an_exit_code(text, argv):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("orthlag: ")
         assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def point_files(draw):
+    """Point CSVs for a d=2 coefficient file that may break any rule: empty
+    files, rows with too few or too many columns, ragged rows, blank or
+    non-numeric cells, negative or non-finite coordinates."""
+    junk = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "-1.0", "0x10", "1;0"])
+    width = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        rows.append(",".join(_mostly(draw, st.floats(0.0, 50.0), junk) for _ in range(cells)))
+    return "\n".join(rows) + "\n"
+
+
+@given(text=point_files())
+@settings(max_examples=200, deadline=None)
+def test_malformed_point_files_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        coeffs, pts, values = (Path(tmp) / name for name in ("a.txt", "pts.csv", "v.csv"))
+        write_coefficients(CoefficientField(2, "total", 2, {(0, 0): 1.0, (1, 1): -0.5}), coeffs)
+        pts.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synthesize", "--in", str(coeffs), "--points", str(pts),
+                         "--out", str(values)])
+        assert caught == []
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+            rows = values.read_text().splitlines()[1:]
+            assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows)
+        else:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("orthlag: ")
+            assert not values.exists()

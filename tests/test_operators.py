@@ -10,7 +10,6 @@ from orthlag.operators import (
     apply_E_pointwise,
     apply_E_spectral,
     iterate_norm,
-    power_multiplier,
     semigroup_propagate,
 )
 from orthlag.transform import CoefficientField, ScalarField, as_scalar_field, synthesize
@@ -73,11 +72,59 @@ class TestSpectral:
             assert apply_E_spectral(a, N).get((0,)) == 0.0
 
     def test_zero_zero_convention(self):
-        assert power_multiplier(0).rule((0,)) == 1.0
+        assert apply_E_spectral(unit_field((0,)), 0).get((0,)) == 1.0
 
     def test_rejects_negative_power(self):
         with pytest.raises(DomainError):
             apply_E_spectral(unit_field((1,)), -1)
+
+
+def per_entry_reference(a, factor):
+    """The former per-entry multiplier: factor(|n|) * v for each stored
+    entry, as Python floats; a non-finite result is reported as None."""
+    out = {}
+    for n, v in a.entries.items():
+        w = factor(sum(n)) * v
+        if not math.isfinite(w):
+            return None
+        out[n] = w
+    return out
+
+
+def python_power(N):
+    def factor(m):
+        try:
+            return float(m) ** N
+        except OverflowError:
+            return math.inf
+
+    return factor
+
+
+class TestBitwiseAgainstPerEntry:
+    @pytest.mark.parametrize("N", [0, 1, 2, 7, 30, 200])
+    def test_apply_E_spectral(self, N):
+        rng = np.random.default_rng(N)
+        for dim, degree in ((1, 30), (2, 12), (3, 6)):  # 30^200 is within binary64
+            a = random_field(rng, dim, degree)
+            assert dict(apply_E_spectral(a, N).entries) == per_entry_reference(a, python_power(N))
+
+    def test_power_that_overflows_is_a_domain_error(self):
+        # 30^300 is beyond binary64: the per-entry product is inf, and the
+        # field rejects it, also when the value there is 0 (inf * 0 = nan)
+        for value in (0.5, 0.0):
+            a = CoefficientField(1, "total", 30, {(2,): 1.0, (30,): value})
+            assert per_entry_reference(a, python_power(300)) is None
+            with pytest.raises(DomainError, match=r"index \(30,\) is not finite"):
+                apply_E_spectral(a, 300)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0, math.log(2.0), 25.0, 800.0])
+    def test_semigroup_propagate(self, t):
+        rng = np.random.default_rng(17)
+        for dim, degree in ((1, 40), (2, 12), (3, 6)):
+            a = random_field(rng, dim, degree)
+            want = per_entry_reference(a, lambda m: math.exp(-t * m))
+            assert dict(semigroup_propagate(a, t).entries) == want
 
 
 class TestIterateNorm:

@@ -1,11 +1,20 @@
 import math
+import tracemalloc
 from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orthlag.core import DomainError, laguerre_fn_sweep, total_degree_indices, truncation_indices
+from orthlag.core import (
+    DomainError,
+    graded_lex_key,
+    laguerre_fn_derivative_sweep,
+    laguerre_fn_sweep,
+    total_degree_indices,
+    truncation_indices,
+)
 from orthlag.fields import exp_decay_field, laguerre_field, separable_poly_exp_field
 from orthlag.quadrature import gauss_laguerre_rule
 from orthlag.transform import (
@@ -137,6 +146,117 @@ def test_analyze_matches_the_per_point_reference(d, degree, K, kind):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def reference_synthesize(a, points):
+    """The former per-term synthesis, kept as the reference: sum over the
+    stored terms in graded-lex order of a_n prod_j l_{n_j}(x_j)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    degs = [max((n[j] for n in a.entries), default=0) for j in range(a.dim)]
+    sweeps = [laguerre_fn_sweep(degs[j], pts[:, j]) for j in range(a.dim)]
+    out = np.zeros(pts.shape[0])
+    for n in sorted(a.entries, key=graded_lex_key):
+        term = np.full(pts.shape[0], a.entries[n])
+        for j, nj in enumerate(n):
+            term = term * sweeps[j][nj]
+        out += term
+    return out
+
+
+def reference_deriv(a, x):
+    """The former per-term derivative of `as_scalar_field`, kept as the
+    reference: per-axis triples (f, df/dx_j, d2f/dx_j2) summed term by term."""
+    degs = [max((n[j] for n in a.entries), default=0) for j in range(a.dim)]
+    trip = [laguerre_fn_derivative_sweep(degs[j], x[j]) for j in range(a.dim)]
+    val, d1, d2 = 0.0, [0.0] * a.dim, [0.0] * a.dim
+    for n in sorted(a.entries, key=graded_lex_key):
+        c = a.entries[n]
+        axis_vals = [trip[j][0][nj, 0] for j, nj in enumerate(n)]
+        val += c * math.prod(axis_vals)
+        for j, nj in enumerate(n):
+            rest = math.prod(v for i, v in enumerate(axis_vals) if i != j)
+            d1[j] += c * trip[j][1][nj, 0] * rest
+            d2[j] += c * trip[j][2][nj, 0] * rest
+    return [(val, d1[j], d2[j]) for j in range(a.dim)]
+
+
+def random_coefficients(rng, dim, degree, kind="total"):
+    entries = {n: rng.uniform(-1, 1) for n in truncation_indices(kind, dim, degree)}
+    return CoefficientField(dim, kind, degree, entries)
+
+
+def sparse_d3_coefficients():
+    # a few scattered terms of a large box: most values of n_j never occur
+    entries = {(0, 0, 0): 0.5, (40, 3, 0): -1.25, (7, 0, 55): 2.0, (40, 9, 55): 0.75, (1, 60, 2): -0.3}
+    return CoefficientField(3, "box", 60, entries)
+
+
+SYNTH_CASES = {
+    "d1-total": lambda rng: random_coefficients(rng, 1, 60),
+    "d2-total": lambda rng: random_coefficients(rng, 2, 20),
+    "d2-box": lambda rng: random_coefficients(rng, 2, 12, "box"),
+    "d3-total": lambda rng: random_coefficients(rng, 3, 10),
+    "d3-box": lambda rng: random_coefficients(rng, 3, 6, "box"),
+    "d3-sparse": lambda rng: sparse_d3_coefficients(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+def test_synthesize_matches_the_per_term_reference(case):
+    rng = np.random.default_rng(sorted(SYNTH_CASES).index(case))
+    a = SYNTH_CASES[case](rng)
+    pts = rng.uniform(0.0, 40.0, size=(700, a.dim))
+    pts[:5] = 0.0  # the orthant corner and, below, its faces
+    pts[5:10, 0] = 0.0
+    want = reference_synthesize(a, pts)
+    got = synthesize(a, pts)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+def test_deriv_matches_the_per_term_reference(case):
+    rng = np.random.default_rng(100 + sorted(SYNTH_CASES).index(case))
+    a = SYNTH_CASES[case](rng)
+    deriv = as_scalar_field(a).deriv
+    for x in rng.uniform(0.0, 20.0, size=(20, a.dim)):
+        want = np.array(reference_deriv(a, x))
+        got = np.array(deriv(x))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def synthesize_peak(a, pts):
+    tracemalloc.start()
+    try:
+        synthesize(a, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_synthesize_memory_is_bounded():
+    # d=3, degree 30 (5456 terms), 10k points: the per-axis sweeps take
+    # 7.4 MiB; gathering every term at every point at once would take 416 MiB
+    rng = np.random.default_rng(2)
+    a = random_coefficients(rng, 3, 30)
+    pts = rng.uniform(0.0, 30.0, size=(10_000, 3))
+    assert synthesize_peak(a, pts) < 16 * 2**20
+
+
+@pytest.mark.parametrize("case", ["d3-diagonal", "d6-total"])
+def test_synthesize_memory_follows_the_term_count(case):
+    # few terms spread over many values of n_j: a dense array with one slot
+    # per (n_1, ..., n_d) would take 27 MiB (150^3) and 14 MiB (11^6)
+    rng = np.random.default_rng(3)
+    if case == "d3-diagonal":
+        a = CoefficientField(3, "box", 149, {(k, k, k): rng.uniform(-1, 1) for k in range(150)})
+    else:
+        a = random_coefficients(rng, 6, 10)  # 8008 terms
+    pts = rng.uniform(0.0, 10.0, size=(1000, a.dim))
+    assert synthesize_peak(a, pts) < 8 * 2**20
+    sample = pts[::50]
+    want = reference_synthesize(a, sample)
+    assert np.linalg.norm(synthesize(a, sample) - want) <= 1e-14 * np.linalg.norm(want)
+
+
 class TestSynthesize:
     def test_single_term(self):
         a = CoefficientField(1, "total", 0, {(0,): 1.0})
@@ -168,6 +288,12 @@ class TestSynthesize:
         a = CoefficientField(1, "total", 2, {(1,): 1.0})
         with pytest.raises(DomainError):
             synthesize(a, [[-1.0]])
+
+    @pytest.mark.parametrize("point", [[math.nan, 1.0], [2.0, math.inf], [-math.inf, 0.0]])
+    def test_rejects_non_finite_point(self, point):
+        a = CoefficientField(2, "total", 2, {(1, 1): 1.0})
+        with pytest.raises(DomainError, match="finite"):
+            synthesize(a, [[0.5, 0.5], point])
 
 
 class TestParseval:
@@ -206,13 +332,79 @@ class TestCoefficientField:
         with pytest.raises(DomainError, match="not finite"):
             CoefficientField(1, "total", 3, {(0,): 1.0, (2,): value})
 
-    def test_stored_indices_graded_lex(self):
+    def test_index_graded_lex(self):
         a = CoefficientField(2, "total", 3, {(2, 0): 1.0, (0, 1): 2.0, (0, 0): 3.0})
-        assert a.stored_indices() == [(0, 0), (0, 1), (2, 0)]
+        assert a.index.tolist() == [[0, 0], [0, 1], [2, 0]]
+        assert a.values.tolist() == [3.0, 2.0, 1.0]
+        assert a.orders.tolist() == [0, 1, 2]
 
     def test_shell_maxima(self):
         a = CoefficientField(2, "total", 2, {(1, 0): -3.0, (0, 1): 2.0, (2, 0): 0.5})
-        assert a.shell_maxima() == {1: 3.0, 2: 0.5}
+        shells, maxima = a.shell_maxima()
+        assert shells.tolist() == [1, 2] and maxima.tolist() == [3.0, 0.5]
+
+    def test_orders_stay_within_int64(self):
+        # a box index may reach dim * degree, which must stay below 2^63
+        with pytest.raises(DomainError, match="2\\^63"):
+            CoefficientField(2, "box", 2**62, {(2**62, 2**62): 1.0})
+        with pytest.raises(DomainError, match="2\\^63"):
+            CoefficientField(1, "total", 2**63, {})
+        top = 2**63 - 1
+        a = CoefficientField(2, "box", top // 2, {(top // 2, top // 2): 1.0})
+        assert a.orders.tolist() == [top - 1]
+        b = CoefficientField(2, "total", top, {(top, 0): 1.0, (1, top - 1): 2.0})
+        assert b.orders.tolist() == [top, top]
+
+    def test_equality_compares_the_terms(self):
+        a = CoefficientField(2, "total", 3, {(1, 0): 1.0, (0, 2): -2.0})
+        assert a == CoefficientField(2, "total", 3, {(0, 2): -2.0, (1, 0): 1.0})
+        assert a == a.with_values(a.values)
+        assert a != a.with_values([1.0, 2.0])
+        assert a != CoefficientField(2, "total", 4, {(1, 0): 1.0, (0, 2): -2.0})
+        assert a != CoefficientField(2, "box", 3, {(1, 0): 1.0, (0, 2): -2.0})
+        assert a != CoefficientField(2, "total", 3, {(1, 0): 1.0})
+        assert a != {(1, 0): 1.0, (0, 2): -2.0}
+        assert repr(a) == "CoefficientField(dim=2, truncation_kind='total', degree=3, terms=2)"
+
+
+@st.composite
+def coefficient_mappings(draw):
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["total", "box"]))
+    degree = draw(st.integers(0, 6))
+    indices = list(truncation_indices(kind, dim, degree))
+    keys = draw(st.lists(st.sampled_from(indices), unique=True, max_size=len(indices)))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    return dim, kind, degree, {n: draw(values) for n in keys}
+
+
+class TestArrayContainer:
+    @given(coefficient_mappings())
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_hold_the_mapping_in_graded_lex_order(self, case):
+        dim, kind, degree, mapping = case
+        a = CoefficientField(dim, kind, degree, mapping)
+        rows = [tuple(n) for n in a.index.tolist()]
+        assert rows == sorted(mapping, key=graded_lex_key)  # sorted, and unique as mapping keys are
+        assert a.index.dtype == np.int64 and a.index.shape == (len(mapping), dim)
+        assert a.values.dtype == np.float64
+        assert np.array_equal(a.orders, a.index.sum(axis=1))
+        assert dict(a.entries) == mapping
+        for arr in (a.index, a.values, a.orders):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        with pytest.raises(TypeError):
+            a.entries[(0,) * dim] = 1.0
+
+    def test_with_values_keeps_the_indices(self):
+        a = CoefficientField(2, "box", 2, {(2, 2): 1.0, (0, 1): 2.0})
+        b = a.with_values([5.0, -6.0])
+        assert b.index is a.index and dict(b.entries) == {(0, 1): 5.0, (2, 2): -6.0}
+        assert dict(a.entries) == {(0, 1): 2.0, (2, 2): 1.0}
+        with pytest.raises(DomainError, match="not finite"):
+            a.with_values([1.0, math.nan])
+        with pytest.raises(DomainError):
+            a.with_values([1.0])
 
 
 class TestFileFormat:
@@ -246,6 +438,13 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("dim: 1\n0,1.0\n")
         with pytest.raises(DomainError):
+            read_coefficients(path)
+
+    def test_box_orders_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"dim: 2\ntruncation_kind: box\ntruncation_degree: {2**62}\n"
+                        f"{2**62},{2**62},1.0\n")
+        with pytest.raises(DomainError, match="2\\^63"):
             read_coefficients(path)
 
     def test_duplicate_record_rejected(self, tmp_path):

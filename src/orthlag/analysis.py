@@ -69,7 +69,9 @@ def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) ->
     """log of `weighted_seq_norm`; -inf when the norm is zero."""
     if p < 1:
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
-    return log_shell_weighted_norm(a, lambda m: log_theta_weight(m, params), p)
+    # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
+    shell_log_weights = np.array([log_theta_weight(m, params) for m in a._shells[0].tolist()], dtype=float)
+    return log_shell_weighted_norm(a, shell_log_weights, p)
 
 
 def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:

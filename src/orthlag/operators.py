@@ -12,10 +12,8 @@ coefficient at index n by |n|^N, the semigroup at time t by e^{-t|n|}.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DomainError, exp_or_inf, validate_point
 from .transform import CoefficientField, ScalarField
@@ -54,21 +52,43 @@ def semigroup_propagate(a: CoefficientField, t: float) -> CoefficientField:
     return apply_multiplier(a, a.per_shell(lambda m: math.exp(-t * m)))
 
 
-def log_shell_weighted_norm(a: CoefficientField, log_weight: Callable[[int], float], p: float) -> float:
-    """log of the l^p norm of {|a_n| e^{log_weight(|n|)}}; -inf when it is zero.
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) of a nonempty 1-D float array.
 
-    Terms with a_n = 0 or a zero weight are left out.  log|a_n| is taken with
-    `math.log`, so results match the scalar formula bit for bit."""
-    nonzero = a.values != 0.0
-    log_abs = np.array([math.log(v) for v in np.abs(a.values[nonzero]).tolist()])
-    logs = log_abs + a.per_shell(log_weight)[nonzero]
+    These are the NumPy operations that scipy.special.logsumexp performs on
+    real 1-D input, so the result is the same to the bit: the elements tied
+    with the maximum are counted and left out of the shifted sum, and the
+    sum is divided by their count before log1p."""
+    x_max = x.max()
+    if not math.isfinite(x_max):  # +inf, an all -inf array, or nan
+        return float(x_max)
+    tied = x == x_max
+    count = np.float64(np.count_nonzero(tied))
+    shifted = np.exp(x - x_max)
+    shifted[tied] = 0.0
+    s = shifted.sum()
+    if s != 0:
+        s = s / count
+    return float(np.log1p(s) + np.log(count) + x_max)
+
+
+def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> float:
+    """log of the l^p norm of {|a_n| e^{w_m}} over the stored terms, where
+    w_m = shell_log_weights[k] is the log weight of shell m = a._shells[0][k];
+    -inf when the norm is zero.
+
+    Terms with a_n = 0 or a zero weight (w_m = -inf) are left out.  log|a_n|
+    comes from `math.log`, once per field, so results match the scalar
+    formula bit for bit."""
+    log_abs, shell_of = a._log_abs
+    logs = log_abs + shell_log_weights[shell_of]
     logs = logs[logs > -math.inf]
     if logs.size == 0:
         return -math.inf
     if math.isinf(p):
         return float(logs.max())
     with np.errstate(over="ignore"):
-        return float(logsumexp(p * logs)) / p
+        return _logsumexp(p * logs) / p
 
 
 def iterate_norm(a: CoefficientField, N: int) -> float:
@@ -84,13 +104,9 @@ def iterate_norm(a: CoefficientField, N: int) -> float:
 def log_iterate_norm(a: CoefficientField, N: int) -> float:
     """log of `iterate_norm`; -inf when the norm is zero."""
     N = _check_power(N)
-
-    def log_power(m):  # log |n|^N, with 0^0 = 1
-        if m == 0:
-            return 0.0 if N == 0 else -math.inf
-        return N * math.log(m)
-
-    return log_shell_weighted_norm(a, log_power, 2)
+    # log |n|^N per shell, with 0^0 = 1
+    log_powers = N * a._log_shells if N else np.zeros(a._log_shells.size)
+    return log_shell_weighted_norm(a, log_powers, 2)
 
 
 def apply_E_pointwise(f: ScalarField, x) -> float:

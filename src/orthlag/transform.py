@@ -85,9 +85,7 @@ class CoefficientField:
         if bad.size:
             n, v = tuple(index[bad[0]].tolist()), float(values[bad[0]])
             raise DomainError(f"coefficient at index {n} is not finite: {v!r}")
-        for arr in (index, values, orders):
-            arr.setflags(write=False)
-        self.index, self.values, self.orders = index, values, orders
+        self.index, self.values, self.orders = map(_readonly, (index, values, orders))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientField):
@@ -121,13 +119,28 @@ class CoefficientField:
         out = object.__new__(CoefficientField)
         out.dim, out.truncation_kind, out.degree = self.dim, self.truncation_kind, self.degree
         out._set(self.index, values, self.orders)
+        # the same index has the same shells: share what is cached of them
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("_shells", "_log_shells"))
         return out
 
     @cached_property
     def _shells(self) -> tuple[np.ndarray, np.ndarray]:
         """(the shells m that hold a stored term, increasing; each term's
         position among them)."""
-        return np.unique(self.orders, return_inverse=True)
+        return tuple(map(_readonly, np.unique(self.orders, return_inverse=True)))
+
+    @cached_property
+    def _log_shells(self) -> np.ndarray:
+        """math.log(m) for each shell m of `_shells`; -inf at m = 0."""
+        return _readonly(np.array([math.log(m) if m else -math.inf for m in self._shells[0].tolist()]))
+
+    @cached_property
+    def _log_abs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(math.log|a_n| over the nonzero terms, in `index` order; each one's
+        position among `_shells`)."""
+        nonzero = self.values != 0.0
+        log_abs = np.array([math.log(v) for v in np.abs(self.values[nonzero]).tolist()], dtype=float)
+        return _readonly(log_abs), _readonly(self._shells[1][nonzero])
 
     def per_shell(self, fn: Callable[[int], float]) -> np.ndarray:
         """fn(|n|) for each stored term, with one call of fn per shell that
@@ -142,6 +155,11 @@ class CoefficientField:
         maxima = np.zeros(shells.size)
         np.maximum.at(maxima, inverse, np.abs(self.values))
         return shells, maxima
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def parseval_l2_norm(a: CoefficientField) -> float:

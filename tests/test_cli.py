@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -416,3 +419,14 @@ def test_malformed_point_files_end_in_an_exit_code(text):
         else:
             assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("orthlag: ")
             assert not values.exists()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """orthlag's log-sum-exp is its own; importing the CLI in a fresh
+    interpreter does not load scipy.special."""
+    import orthlag
+
+    code = "import sys, orthlag.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(orthlag.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

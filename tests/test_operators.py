@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import logsumexp
 
+from orthlag.analysis import SpaceParams, eta_seminorm, log_theta_weight, log_weighted_seq_norm
 from orthlag.core import DomainError, total_degree_indices
 from orthlag.fields import exp_decay_field, laguerre_field
 from orthlag.operators import (
+    _logsumexp,
     apply_E_pointwise,
     apply_E_spectral,
     iterate_norm,
+    log_iterate_norm,
     semigroup_propagate,
 )
 from orthlag.transform import CoefficientField, ScalarField, as_scalar_field, synthesize
@@ -160,6 +164,112 @@ class TestIterateNorm:
         val = iterate_norm(a, 200)
         # naive 30^400 overflows; log-space value is exp(200 log 30 - 200 log 10 ...)
         assert math.isfinite(math.log(val))
+
+
+def reference_log_shell_weighted_norm(a, log_weight, p):
+    """The former log-space norm: the math.log list built per call, one call
+    of log_weight per shell, and scipy.special.logsumexp."""
+    nonzero = a.values != 0.0
+    log_abs = np.array([math.log(v) for v in np.abs(a.values[nonzero]).tolist()])
+    logs = log_abs + a.per_shell(log_weight)[nonzero]
+    logs = logs[logs > -math.inf]
+    if logs.size == 0:
+        return -math.inf
+    if math.isinf(p):
+        return float(logs.max())
+    with np.errstate(over="ignore"):
+        return float(logsumexp(p * logs)) / p
+
+
+def reference_log_iterate_norm(a, N):
+    def log_power(m):  # log |n|^N, with 0^0 = 1
+        if m == 0:
+            return 0.0 if N == 0 else -math.inf
+        return N * math.log(m)
+
+    return reference_log_shell_weighted_norm(a, log_power, 2)
+
+
+def reference_eta(a, params, N_max):
+    """(log_value, argmax, growing) of the eta seminorm on the reference norm."""
+    log_ratios = []
+    for N in range(1, N_max + 1):
+        lg = reference_log_iterate_norm(a, N)
+        log_ratios.append(-math.inf if lg == -math.inf
+                          else lg - N * math.log(params.scale) - params.alpha * math.lgamma(N + 1))
+    best = max(range(N_max), key=lambda i: log_ratios[i])
+    growing = best == N_max - 1 and N_max >= 2 and log_ratios[-1] > log_ratios[-2]
+    return log_ratios[best], best + 1, growing
+
+
+def reference_fields():
+    """Random d = 1..3 fields with zeros at tiny and huge scales, a sparse box
+    field with a huge |n|, the all-zero field and a field holding n = 0 only."""
+    rng = np.random.default_rng(23)
+    fields = []
+    for dim, degree in ((1, 40), (2, 12), (3, 6)):
+        for scale in (1e-300, 1e200):
+            idx = list(total_degree_indices(dim, degree))
+            vals = rng.standard_normal(len(idx)) * scale
+            vals[rng.random(len(idx)) < 0.3] = 0.0
+            fields.append(CoefficientField(dim, "total", degree, dict(zip(idx, vals.tolist()))))
+    fields.append(CoefficientField(2, "box", 10**15, {(10**15, 3): 1e-30, (0, 0): 2.0, (7, 10**12): -0.5}))
+    fields.append(CoefficientField(2, "total", 5, dict.fromkeys(total_degree_indices(2, 5), 0.0)))
+    fields.append(CoefficientField(1, "total", 4, {(0,): -3.5}))
+    return fields
+
+
+def same_bits(x, y):
+    return float(x).hex() == float(y).hex()
+
+
+class TestBitwiseAgainstSciPyNorm:
+    @pytest.mark.parametrize("a", reference_fields())
+    def test_log_iterate_norm(self, a):
+        for N in range(201):
+            assert same_bits(log_iterate_norm(a, N), reference_log_iterate_norm(a, N)), N
+
+    @pytest.mark.parametrize("a", reference_fields())
+    def test_log_weighted_seq_norm(self, a):
+        for p in (1, 2, 3.5, math.inf):
+            for alpha in (1e-3, 0.05, 0.37, 1.0, 2.0):
+                for h in (0.1, 1.0, 7.5, 50.0):
+                    params = SpaceParams(alpha=alpha, scale=h)
+                    want = reference_log_shell_weighted_norm(a, lambda m: log_theta_weight(m, params), p)
+                    assert same_bits(log_weighted_seq_norm(a, params, p), want), (p, alpha, h)
+
+    @pytest.mark.parametrize("a", reference_fields())
+    def test_eta_seminorm(self, a):
+        for alpha, h, N_max in ((0.3, 1.5, 40), (1.0, 0.5, 25), (2.0, 20.0, 60)):
+            params = SpaceParams(alpha=alpha, scale=h)
+            r = eta_seminorm(a, params, N_max)
+            log_value, argmax, growing = reference_eta(a, params, N_max)
+            assert same_bits(r.log_value, log_value) and (r.argmax, r.growing) == (argmax, growing)
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """1-64 finite floats below a center, spread by up to 1e3, with the
+    maximum repeated a drawn number of times, in shuffled order.  A center
+    near 0 keeps the last bits of the shifted sum visible in the result."""
+    size = draw(st.integers(min_value=1, max_value=64))
+    center = draw(st.one_of(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-1e6, max_value=1e6)))
+    spread = draw(st.floats(min_value=0.0, max_value=1e3))
+    ties = draw(st.integers(min_value=0, max_value=size))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    x = center - spread * rng.random(size)
+    x[:ties] = x.max()
+    return rng.permutation(x).tolist()
+
+
+@given(logsumexp_inputs())
+@example([math.inf, 1.0])
+@example([-math.inf, -math.inf])
+@example([-math.inf, 0.0, -700.0])
+@settings(max_examples=1000, deadline=None)
+def test_logsumexp_matches_scipy_bit_for_bit(x):
+    x = np.array(x)
+    assert same_bits(_logsumexp(x), logsumexp(x))
 
 
 class TestSemigroup:

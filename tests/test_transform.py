@@ -406,6 +406,30 @@ class TestArrayContainer:
         with pytest.raises(DomainError):
             a.with_values([1.0])
 
+    def test_cached_shell_and_log_arrays(self):
+        a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
+        shells, inverse = a._shells
+        assert shells.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 2, 2]
+        assert a._log_shells.tolist() == [-math.inf, 0.0, math.log(3)]
+        log_abs, shell_of = a._log_abs
+        assert log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
+        assert shell_of.tolist() == [0, 1, 2]
+        for arr in (shells, inverse, a._log_shells, log_abs, shell_of):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_with_values_shares_the_shells_and_rebuilds_the_logs(self):
+        from orthlag.operators import apply_E_spectral, semigroup_propagate
+
+        a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
+        a._log_abs, a._log_shells  # build the caches
+        for b in (a.with_values([0.0, 3.0, 1e-300, -7.0]), apply_E_spectral(a, 2), semigroup_propagate(a, 0.5)):
+            assert b._shells is a._shells and b._log_shells is a._log_shells
+            log_abs, shell_of = b._log_abs
+            nonzero = [i for i, v in enumerate(b.values.tolist()) if v != 0.0]
+            assert log_abs.tolist() == [math.log(abs(b.values[i])) for i in nonzero]
+            assert shell_of.tolist() == a._shells[1][nonzero].tolist()
+
 
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):

@@ -9,8 +9,7 @@ from .core import (
     laguerre_fn_derivatives,
     laguerre_fn_eval,
     laguerre_poly_eval,
-    total_degree_indices,
-    box_indices,
+    truncation_index,
 )
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
 from .transform import (
@@ -49,8 +48,7 @@ __all__ = [
     "laguerre_poly_eval",
     "laguerre_fn_eval",
     "laguerre_fn_derivatives",
-    "total_degree_indices",
-    "box_indices",
+    "truncation_index",
     "QuadratureRule",
     "gauss_laguerre_rule",
     "integrate_orthant",

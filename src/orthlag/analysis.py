@@ -14,12 +14,13 @@ at smoothness level alpha corresponds to coefficient decay exponent 1/alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, exp_or_inf, index_order, total_degree_indices
+from .core import DomainError, exp_or_inf, index_order, truncation_index
 from .operators import log_iterate_norm, log_shell_weighted_norm
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
 from .transform import CoefficientField, ScalarField
@@ -39,10 +40,10 @@ class SpaceParams:
     kind: str = ROUMIEU
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"scale must be finite and positive, got {self.scale}")
         if self.kind not in (ROUMIEU, BEURLING):
             raise DomainError(f"kind must be {ROUMIEU!r} or {BEURLING!r}")
 
@@ -67,7 +68,7 @@ def theta_weight(n, params: SpaceParams) -> float:
 
 def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
     """log of `weighted_seq_norm`; -inf when the norm is zero."""
-    if p < 1:
+    if not p >= 1:  # nan too
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
     shell_log_weights = np.array([log_theta_weight(m, params) for m in a._shells[0].tolist()], dtype=float)
@@ -104,7 +105,7 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
     if math.inf in (log_l2, log_sup):
         raise DomainError(f"a weighted norm is beyond binary64 even in log form at alpha={alpha}")
-    counts = np.bincount([index_order(n) for n in a.truncation_set()])
+    counts = np.bincount(truncation_index(a.truncation_kind, a.dim, a.degree).sum(axis=1))
     # per shell e^{-2 (h-h1) m^{1/(2 alpha)}}, which is 0 where the exponent overflows
     gap = SpaceParams(alpha=alpha, scale=h - h1)
     shell_terms = counts * np.array([math.exp(-2.0 * log_theta_weight(m, gap)) for m in range(counts.size)])
@@ -194,8 +195,8 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
     log b_m ~ log C - c m^t with the exponent t scanned on a fixed grid and
     refined by golden section; the fit is deterministic.
     """
-    if floor <= 0:
-        raise DomainError(f"floor must be positive, got {floor}")
+    if not 0 < floor < math.inf:
+        raise DomainError(f"floor must be finite and positive, got {floor}")
     n_nonzero, ms, ys = _shell_points(a, floor)
     if ms.size < 3:
         finite = n_nonzero < 3
@@ -267,78 +268,39 @@ def classify_membership(
     resolved by the trend of the fitted rate across nested truncations and
     reported as a trend, not a proof.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
     target = 1.0 / alpha
+    report = partial(MembershipReport, alpha=alpha, target_exponent=target)
     try:
         fit = estimate_decay_params(a, floor)
     except InsufficientSupportError as exc:
         if exc.finitely_supported:
-            return MembershipReport(
-                verdict=VERDICT_FINITELY_SUPPORTED,
-                alpha=alpha,
-                target_exponent=target,
-                details="finitely supported: member of every decay class",
-            )
-        return MembershipReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            alpha=alpha,
-            target_exponent=target,
-            details=str(exc),
-        )
+            return report(VERDICT_FINITELY_SUPPORTED,
+                          details="finitely supported: member of every decay class")
+        return report(VERDICT_INCONCLUSIVE, details=str(exc))
     if fit.residual > RESIDUAL_LIMIT:
-        return MembershipReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            alpha=alpha,
-            target_exponent=target,
-            fit=fit,
-            details=f"fit residual {fit.residual:.3g} too large for a verdict",
-        )
+        return report(VERDICT_INCONCLUSIVE, fit=fit,
+                      details=f"fit residual {fit.residual:.3g} too large for a verdict")
     if fit.c_hat <= 0:
-        return MembershipReport(
-            verdict=VERDICT_NOT_MEMBER,
-            alpha=alpha,
-            target_exponent=target,
-            fit=fit,
-            details="no coefficient decay detected",
-        )
+        return report(VERDICT_NOT_MEMBER, fit=fit, details="no coefficient decay detected")
     if fit.exponent > target + EXPONENT_TOLERANCE:
-        return MembershipReport(
-            verdict=VERDICT_BEURLING,
-            alpha=alpha,
-            target_exponent=target,
-            fit=fit,
-            details=f"decay exponent {fit.exponent:.4f} beats {target:.4f}",
-        )
+        return report(VERDICT_BEURLING, fit=fit,
+                      details=f"decay exponent {fit.exponent:.4f} beats {target:.4f}")
     if fit.exponent < target - EXPONENT_TOLERANCE:
-        return MembershipReport(
-            verdict=VERDICT_NOT_MEMBER,
-            alpha=alpha,
-            target_exponent=target,
-            fit=fit,
-            details=f"decay exponent {fit.exponent:.4f} below required {target:.4f}",
-        )
+        return report(VERDICT_NOT_MEMBER, fit=fit,
+                      details=f"decay exponent {fit.exponent:.4f} below required {target:.4f}")
     # Boundary exponent: compare the fitted rate (exponent pinned at the
     # target) on the first half of the shells against the full range.
     _, ms, ys = _shell_points(a, floor)
     half = ms.size // 2
     _, c_half, _ = _linear_decay_fit(ms[:half], ys[:half], target)
     _, c_full, _ = _linear_decay_fit(ms, ys, target)
-    trend = (c_half, c_full)
     if c_full > 1.25 * c_half + 0.05:
-        verdict = VERDICT_BEURLING
-        details = "boundary exponent with rate increasing across nested truncations"
-    else:
-        verdict = VERDICT_ROUMIEU
-        details = f"boundary exponent with stable rate c ~ {c_full:.4f}"
-    return MembershipReport(
-        verdict=verdict,
-        alpha=alpha,
-        target_exponent=target,
-        fit=fit,
-        rate_trend=trend,
-        details=details,
-    )
+        return report(VERDICT_BEURLING, fit=fit, rate_trend=(c_half, c_full),
+                      details="boundary exponent with rate increasing across nested truncations")
+    return report(VERDICT_ROUMIEU, fit=fit, rate_trend=(c_half, c_full),
+                  details=f"boundary exponent with stable rate c ~ {c_full:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +457,7 @@ def gtype_seminorm(
         # log of prod_j idx_j^{(alpha/2) idx_j}, 0^0 = 1
         return half_alpha * sum(v * math.log(v) for v in idx if v > 0)
 
-    p_list = list(total_degree_indices(f.dim, P))
-    k_list = list(total_degree_indices(f.dim, P))
+    p_list = k_list = list(map(tuple, truncation_index("total", f.dim, P).tolist()))
     best_val = 0.0
     best_pair = (p_list[0], k_list[0])
     per_order = {}
@@ -541,7 +502,8 @@ def sigma_seminorm(
     j = P if j is None else j
     gt = gtype_seminorm(f, params, P=P, rule=rule)
     sup_part = 0.0
-    for p in total_degree_indices(f.dim, j):
-        for k in total_degree_indices(f.dim, j):
+    indices = truncation_index("total", f.dim, j).tolist()
+    for p in indices:
+        for k in indices:
             sup_part = max(sup_part, schwartz_seminorm(f, k, p, grid=grid))
     return gt.value + sup_part

@@ -10,7 +10,7 @@ overflow at large x never occurs.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,41 +51,28 @@ def validate_point(x: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All multi-indices with `parts` entries summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+TRUNCATION_KINDS = ("total", "box")
 
 
-def total_degree_indices(dim: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Multi-indices with |n| <= degree, in graded lexicographic order."""
-    for m in range(degree + 1):
-        yield from compositions(m, dim)
-
-
-def box_indices(dim: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Multi-indices with n_j <= degree for every axis, graded lexicographic."""
-    for m in range(dim * degree + 1):
-        for n in compositions(m, dim):
-            if max(n) <= degree:
-                yield n
-
-
-def truncation_indices(kind: str, dim: int, degree: int) -> Iterator[tuple[int, ...]]:
-    if kind == "total":
-        return total_degree_indices(dim, degree)
-    if kind == "box":
-        return box_indices(dim, degree)
-    raise DomainError(f"unknown truncation kind {kind!r}")
-
-
-def graded_lex_key(n: Sequence[int]) -> tuple:
-    """Sort key realizing graded lexicographic order."""
-    return (sum(n), tuple(n))
+def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
+    """The multi-indices with |n| <= degree ("total") or every n_j <= degree
+    ("box"), graded-lex, as an (n_terms, dim) int64 array.  Each row carries
+    what is left of its |n|; one np.repeat per axis expands it into every
+    allowed n_j, so memory stays proportional to the output."""
+    if kind not in TRUNCATION_KINDS:
+        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
+    if dim < 1 or degree < 0:
+        raise DomainError("dimension must be >= 1 and degree >= 0")
+    box = kind == "box"
+    rest = np.arange((dim if box else 1) * degree + 1, dtype=np.int64)  # one row per shell
+    cols = []
+    for later in range(dim - 1, 0, -1):  # the axes after this one
+        lo = np.maximum(rest - later * degree, 0) if box else np.zeros_like(rest)
+        counts = (np.minimum(rest, degree) if box else rest) - lo + 1
+        nj = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        cols = [np.repeat(c, counts) for c in cols] + [nj]
+        rest = np.repeat(rest, counts) - nj
+    return np.column_stack(cols + [rest])
 
 
 def exp_or_inf(log_value: float) -> float:

@@ -31,6 +31,8 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
     rates = [float(s) for s in rates]
     if len(axis_coeffs) != len(rates):
         raise DomainError("need one rate per axis")
+    if not rates:
+        raise DomainError("a field needs at least one axis")
     if any(s <= 0 for s in rates):
         raise DomainError("exponential rates must be positive")
     dim = len(rates)

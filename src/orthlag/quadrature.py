@@ -85,14 +85,16 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
     """The evaluator at every node of the d-fold tensor grid, as a (K,)*d array.
 
     One call per node, in lexicographic node order; a non-finite value raises
-    DomainError naming its node.
+    DomainError naming its node, the only report (NumPy's overflow and
+    invalid-value warnings are off while the evaluator runs).
     """
     values = np.empty(nodes.size ** d)
-    for i, x in enumerate(product(nodes.tolist(), repeat=d)):
-        val = float(evaluator(np.array(x)))
-        if not math.isfinite(val):
-            raise DomainError(f"non-finite integrand value {val!r} at node {x}")
-        values[i] = val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(product(nodes.tolist(), repeat=d)):
+            val = float(evaluator(np.array(x)))
+            if not math.isfinite(val):
+                raise DomainError(f"non-finite integrand value {val!r} at node {x}")
+            values[i] = val
     return values.reshape((nodes.size,) * d)
 
 

@@ -11,21 +11,20 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    TRUNCATION_KINDS,
     DomainError,
     laguerre_fn_derivative_sweep,
     laguerre_fn_sweep,
-    truncation_indices,
+    truncation_index,
     validate_multi_index,
     validate_point,
 )
 from .quadrature import QuadratureRule, _node_grid_values
-
-TRUNCATION_KINDS = ("total", "box")
 
 
 @dataclass
@@ -57,6 +56,20 @@ class CoefficientField:
 
     def __init__(self, dim: int, truncation_kind: str, degree: int,
                  entries: Mapping[Sequence[int], float] | None = None):
+        entries = {} if entries is None else entries
+        self._load(dim, truncation_kind, degree, list(entries), list(entries.values()))
+
+    @classmethod
+    def _from_arrays(cls, dim: int, truncation_kind: str, degree: int, index, values) -> "CoefficientField":
+        """The field with rows `index` ((n_terms, dim) array or rows) and their `values`."""
+        out = object.__new__(cls)
+        out._load(dim, truncation_kind, degree, index, values)
+        return out
+
+    def _load(self, dim, truncation_kind, degree, index, values) -> None:
+        """The one validation path, on whole arrays; a bad row raises the error
+        the first failing row would get from `validate_multi_index` and the
+        dimension and bound checks, in that order."""
         if truncation_kind not in TRUNCATION_KINDS:
             raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
         if dim < 1 or degree < 0:
@@ -65,20 +78,29 @@ class CoefficientField:
             # every allowed |n|, and so every n_j, must fit in int64
             raise DomainError(f"{truncation_kind} degree {degree} in dimension {dim} allows |n| >= 2^63")
         self.dim, self.truncation_kind, self.degree = dim, truncation_kind, degree
-        entries = {} if entries is None else entries
-        reach = sum if truncation_kind == "total" else max
-        rows = []
-        for n in map(validate_multi_index, entries):
+        # the leading k rows that have dim entries, held exactly: int64 where no
+        # row sum can leave it, else Python ints with -1 for a non-integer entry
+        rectangular = isinstance(index, np.ndarray) and index.shape[1:] == (dim,)
+        k = len(index) if rectangular else next((i for i, n in enumerate(index) if len(n) != dim), len(index))
+        rows = np.asarray(index[:k]).reshape(k, dim)
+        if rows.dtype.kind != "i" or (k and rows.max() > (2**63 - 1) // dim):
+            rows = _exact_int(np.array(index[:k], dtype=object).reshape(k, dim))
+        reach = rows.sum(axis=1) if truncation_kind == "total" else rows.max(axis=1)
+        bad = np.flatnonzero((rows < 0).any(axis=1) | (reach > degree))
+        if bad.size or k < len(index):
+            n = validate_multi_index(index[bad[0] if bad.size else k])
             if len(n) != dim:
                 raise DomainError(f"index {n} has wrong dimension (expected {dim})")
-            if reach(n) > degree:
-                raise DomainError(f"index {n} violates {truncation_kind} bound {degree}")
-            rows.append(n)
-        index = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-        values = np.array(list(entries.values()), dtype=float)
+            raise DomainError(f"index {n} violates {truncation_kind} bound {degree}")
+        index = rows.astype(np.int64, copy=False)
+        values = np.array(values, dtype=float)
         orders = index.sum(axis=1)
         order = np.lexsort((*index.T[::-1], orders))  # the last key sorts first
-        self._set(index[order], values[order], orders[order])
+        index, values, orders = index[order], values[order], orders[order]
+        dup = np.flatnonzero((index[1:] == index[:-1]).all(axis=1))
+        if dup.size:
+            raise DomainError(f"duplicate record for index {tuple(index[dup[0]].tolist())}")
+        self._set(index, values, orders)
 
     def _set(self, index: np.ndarray, values: np.ndarray, orders: np.ndarray) -> None:
         bad = np.flatnonzero(~np.isfinite(values))
@@ -106,10 +128,6 @@ class CoefficientField:
 
     def get(self, n: Sequence[int]) -> float:
         return self.entries.get(tuple(n), 0.0)
-
-    def truncation_set(self) -> Iterator[tuple[int, ...]]:
-        """The full truncation index set (stored or not), graded lex."""
-        return truncation_indices(self.truncation_kind, self.dim, self.degree)
 
     def with_values(self, values) -> "CoefficientField":
         """The same stored indices with new values, one per term in `index` order."""
@@ -162,6 +180,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_exact_int = np.frompyfunc(lambda v: int(v) if v % 1 == 0 else -1, 1, 1)
+
+
 def parseval_l2_norm(a: CoefficientField) -> float:
     """L2 norm of the truncated series, sqrt(sum a_n^2), by orthonormality."""
     return math.sqrt(math.fsum((a.values * a.values).tolist()))
@@ -182,21 +203,19 @@ def analyze(
     transform matrix VW[m, k] = l_m(x_k) e^{x_k} w_k (sum factorization), the
     same path for every dimension d.
     """
-    if kind not in TRUNCATION_KINDS:
-        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
     if rule.size < degree + 1:
         raise DomainError(
             f"rule with {rule.size} nodes is too small for degree {degree} (need >= {degree + 1})"
         )
     d = f.dim
+    index = truncation_index(kind, d, degree)  # checks kind, d and degree before any work
     VW = laguerre_fn_sweep(degree, rule.nodes) * rule.modified_weights  # (degree+1, K)
     A = _node_grid_values(f.evaluator, rule.nodes, d)
     for _ in range(d):
         # contract the leading node axis; its degree axis goes last, so after
         # d steps the axes are back in order
         A = np.tensordot(A, VW, axes=(0, 1))
-    entries = {n: float(A[n]) for n in truncation_indices(kind, d, degree)}
-    return CoefficientField(dim=d, truncation_kind=kind, degree=degree, entries=entries)
+    return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
 
 
 def synthesize(a: CoefficientField, points) -> np.ndarray:
@@ -204,9 +223,10 @@ def synthesize(a: CoefficientField, points) -> np.ndarray:
 
     Each term's factors l_{n_j}(x_j) are gathered from the per-axis sweeps by
     the columns of `index`, multiplied over the axes and summed against
-    `values`.  Points go through in blocks sized so that a gathered block
-    holds at most about 2^16 values (one point when there are more terms), so
-    the memory beyond the sweeps grows with the number of terms only.
+    `values`.  The sweeps are built for blocks of about 2^20 / (max n_j + 1)
+    points, and within a block the terms are gathered for blocks of points
+    that hold at most about 2^16 values (one point when there are more terms),
+    so memory is bounded whatever the number of points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != a.dim:
@@ -217,15 +237,20 @@ def synthesize(a: CoefficientField, points) -> np.ndarray:
         raise DomainError("points must lie in the closed orthant")
     if a.values.size == 0:
         return np.zeros(pts.shape[0])
-    sweeps = [laguerre_fn_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
-    block = max(1, 2**16 // a.values.size)
+    degs = a.index.max(axis=0).tolist()
+    inner = max(1, 2**16 // a.values.size)
+    outer = max(1, 2**20 // (max(degs) + 1))
+    outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
     out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], block):
-        cols = slice(lo, lo + block)
-        terms = sweeps[0][:, cols].take(a.index[:, 0], axis=0)  # (terms, points)
-        for j in range(1, a.dim):
-            terms *= sweeps[j][:, cols].take(a.index[:, j], axis=0)
-        out[cols] = a.values @ terms
+    for start in range(0, pts.shape[0], outer):
+        chunk, chunk_out = pts[start:start + outer], out[start:start + outer]
+        sweeps = [laguerre_fn_sweep(m, chunk[:, j]) for j, m in enumerate(degs)]
+        for lo in range(0, chunk.shape[0], inner):
+            cols = slice(lo, lo + inner)
+            terms = sweeps[0][:, cols].take(a.index[:, 0], axis=0)  # (terms, points)
+            for j in range(1, a.dim):
+                terms *= sweeps[j][:, cols].take(a.index[:, j], axis=0)
+            chunk_out[cols] = a.values @ terms
     return out
 
 
@@ -292,13 +317,18 @@ def read_coefficients(path) -> CoefficientField:
         degree = int(header["truncation_degree"])
     except KeyError as exc:
         raise DomainError(f"coefficient file {path} is missing header field {exc}") from exc
-    entries = {}
-    for ln in raw[body_start:]:
-        parts = ln.split(",")
-        if len(parts) != dim + 1:
-            raise DomainError(f"malformed record {ln!r} (expected {dim} indices + value)")
-        n = tuple(int(p) for p in parts[:dim])
-        if n in entries:
-            raise DomainError(f"duplicate record for index {n} in {path}")
-        entries[n] = float(parts[dim])
-    return CoefficientField(dim=dim, truncation_kind=kind, degree=degree, entries=entries)
+    index, values = [], []
+    try:
+        for ln in raw[body_start:]:
+            parts = ln.split(",")
+            if len(parts) != dim + 1:
+                raise DomainError(f"malformed record {ln!r} (expected {dim} indices + value)")
+            index.append(list(map(int, parts[:dim])))
+            values.append(float(parts[dim]))
+    except ValueError:  # DomainError too; a duplicate record before the bad one comes first
+        seen = set()
+        dup = next((n for n in map(tuple, index) if n in seen or seen.add(n)), None)
+        if dup is not None:
+            raise DomainError(f"duplicate record for index {dup} in {path}") from None
+        raise
+    return CoefficientField._from_arrays(dim, kind, degree, index, values)

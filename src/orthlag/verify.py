@@ -15,7 +15,7 @@ from .core import (
     laguerre_fn_derivative_sweep,
     laguerre_fn_eval,
     laguerre_fn_sweep,
-    total_degree_indices,
+    truncation_index,
 )
 
 
@@ -32,9 +32,10 @@ def _check(suite, name, measured, allowed):
     return CheckResult(suite, name, float(measured), float(allowed), bool(measured <= allowed))
 
 
-def _random_field(rng, dim, degree, kind="total"):
-    entries = {n: rng.uniform(-1.0, 1.0) for n in total_degree_indices(dim, degree)}
-    return transform.CoefficientField(dim=dim, truncation_kind=kind, degree=degree, entries=entries)
+def _random_field(rng, dim, degree):
+    index = truncation_index("total", dim, degree)
+    values = rng.uniform(-1.0, 1.0, size=len(index))  # the same draws as one call per term
+    return transform.CoefficientField._from_arrays(dim, "total", degree, index, values)
 
 
 # --- core ------------------------------------------------------------------
@@ -125,7 +126,7 @@ def check_exp_decay_coefficients():
     a2 = transform.analyze(fields.exp_decay_field(2), 12, rule)
     worst2 = max(
         abs(a2.get(n) - (2.0 / 3.0) ** 2 * (1.0 / 3.0) ** sum(n))
-        for n in total_degree_indices(2, 12)
+        for n in truncation_index("total", 2, 12).tolist()
     )
     return [
         _check("transform", "e^{-x} coefficients (1-D)", worst1, 1e-10),

@@ -23,7 +23,7 @@ from orthlag.analysis import (
     norm_equivalence_gap,
     weighted_seq_norm,
 )
-from orthlag.core import laguerre_fn_derivative_sweep, laguerre_fn_sweep, total_degree_indices
+from orthlag.core import laguerre_fn_derivative_sweep, laguerre_fn_sweep, truncation_index
 from orthlag.fields import exp_decay_field
 from orthlag.operators import apply_E_pointwise, apply_E_spectral, semigroup_propagate
 from orthlag.quadrature import gauss_laguerre_rule
@@ -37,7 +37,7 @@ def report(number, label, ok):
 
 
 def random_field(rng, dim, degree):
-    entries = {n: rng.uniform(-1, 1) for n in total_degree_indices(dim, degree)}
+    entries = {n: rng.uniform(-1, 1) for n in map(tuple, truncation_index("total", dim, degree).tolist())}
     return CoefficientField(dim, "total", degree, entries)
 
 
@@ -95,7 +95,7 @@ def test_criterion_4_closed_form_transform():
     a2 = analyze(exp_decay_field(2), 12, rule)
     err2 = max(
         abs(a2.get(n) - (2 / 3) ** 2 * (1 / 3) ** sum(n))
-        for n in total_degree_indices(2, 12)
+        for n in truncation_index("total", 2, 12).tolist()
     )
     report(4, f"coefficient errors 1-D {err1:.2e}, 2-D {err2:.2e}",
            err1 <= 1e-10 and err2 <= 1e-9)

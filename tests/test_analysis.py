@@ -25,14 +25,14 @@ from orthlag.analysis import (
     theta_weight,
     weighted_seq_norm,
 )
-from orthlag.core import DomainError, total_degree_indices
+from orthlag.core import DomainError, truncation_index
 from orthlag.fields import exp_decay_field, laguerre_field
 from orthlag.transform import CoefficientField
 
 
 def shell_sequence(rate_fn, degree, dim=1):
     entries = {}
-    for n in total_degree_indices(dim, degree):
+    for n in map(tuple, truncation_index("total", dim, degree).tolist()):
         v = rate_fn(sum(n))
         entries[n] = v
     return CoefficientField(dim, "total", degree, entries)
@@ -47,7 +47,7 @@ def stretched(c, t, degree=400):
 
 
 def random_field(rng, dim, degree):
-    entries = {n: rng.uniform(-1, 1) for n in total_degree_indices(dim, degree)}
+    entries = {n: rng.uniform(-1, 1) for n in map(tuple, truncation_index("total", dim, degree).tolist())}
     return CoefficientField(dim, "total", degree, entries)
 
 

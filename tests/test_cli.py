@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthlag.cli import main
+from orthlag.core import DomainError
 from orthlag.transform import read_coefficients, write_coefficients
 from orthlag.transform import CoefficientField
 
@@ -325,6 +326,48 @@ class TestMalformedCoefficientFiles:
         assert code == 2 and "not finite" in err
 
 
+GEOMETRIC_FILE = "dim: 1\ntruncation_kind: total\ntruncation_degree: 8\n" + "".join(
+    f"{n},{geometric_coefficient(n)!r}\n" for n in range(9))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--alpha", "nan", "--h", "1"],
+    ["eta", "--alpha", "inf", "--h", "1"],
+    ["eta", "--alpha", "1", "--h", "nan"],
+    ["eta", "--alpha", "1", "--h", "inf"],
+    ["norms", "--alpha", "nan", "--h", "1"],
+    ["norms", "--alpha", "1", "--h", "nan"],
+    ["norms", "--alpha", "1", "--h", "1", "--p", "nan"],
+    ["classify", "--alpha", "nan"],
+    ["classify", "--alpha", "inf"],
+    ["classify", "--alpha", "1", "--floor", "nan"],
+    ["classify", "--alpha", "1", "--floor", "inf"],
+    ["analyze", "--fn", "exp-decay", "--degree", "-1", "--out", "OUT"],
+    ["analyze", "--fn", "exp-decay", "--dim", "0", "--degree", "3", "--out", "OUT"],
+    ["analyze", "--fn", "poly-exp:1,2", "--dim", "-2", "--degree", "3", "--out", "OUT"],
+    ["analyze", "--coeffs", "IN", "--degree", "-1", "--out", "OUT"],
+], ids=" ".join)
+def test_bad_parameters_are_one_line_domain_errors(tmp_path, capfd, argv):
+    path = tmp_path / "geo.txt"
+    path.write_text(GEOMETRIC_FILE)
+    argv = [str(tmp_path / "out.txt") if a == "OUT" else str(path) if a == "IN" else a for a in argv]
+    if argv[0] != "analyze":
+        argv += ["--in", str(path)]
+    code, out, err = run(capfd, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("orthlag: domain error: ")
+    assert "Traceback" not in err and not (tmp_path / "out.txt").exists()
+
+
+def test_overflowing_builtin_field_prints_one_line(tmp_path, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capfd, "analyze", "--fn", "poly-exp:1e308,1e308", "--degree", "4",
+                             "--out", str(tmp_path / "a.txt"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "non-finite integrand value" in err
+
+
 def _mostly(draw, good, bad):
     """A draw from `good` as text, or about one time in five from `bad`
     (hypothesis favours the ends of a range, so the rare case is a middle value)."""
@@ -365,7 +408,15 @@ COMMANDS = st.sampled_from([
 ])
 
 
+TOTAL_1D = "dim: 1\ntruncation_kind: total\ntruncation_degree: 3\n"
+NORMS = ["norms", "--alpha", "1", "--h", "1", "--p", "1"]
+
+
+# the int64 boundary of the reader: a 30-digit index, 2^63 in a box file, an index token 1.0
 @given(text=coefficient_files(), argv=COMMANDS)
+@example(text=TOTAL_1D + "9" * 30 + ",1.0\n", argv=NORMS)
+@example(text=f"dim: 2\ntruncation_kind: box\ntruncation_degree: 5\n0,1,0.5\n{2**63},0,1.0\n", argv=NORMS)
+@example(text=TOTAL_1D + "1.0,0.5\n", argv=NORMS)
 @settings(max_examples=200, deadline=None)
 def test_malformed_coefficient_files_end_in_an_exit_code(text, argv):
     with tempfile.TemporaryDirectory() as tmp:
@@ -381,6 +432,60 @@ def test_malformed_coefficient_files_end_in_an_exit_code(text, argv):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("orthlag: ")
         assert "Traceback" not in err.getvalue()
+
+
+def reference_read_coefficients(path):
+    """The former reader, kept as the reference: records parsed one by one
+    into a dict of tuples, a duplicate caught as it is read, then the
+    mapping constructor."""
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh if ln.strip()]
+    header, body_start = {}, 0
+    for i, ln in enumerate(raw[:3]):
+        if ":" not in ln:
+            break
+        key, _, val = ln.partition(":")
+        header[key.strip()] = val.strip()
+        body_start = i + 1
+    try:
+        dim, kind, degree = int(header["dim"]), header["truncation_kind"], int(header["truncation_degree"])
+    except KeyError as exc:
+        raise DomainError(f"missing header field {exc}") from exc
+    entries = {}
+    for ln in raw[body_start:]:
+        parts = ln.split(",")
+        if len(parts) != dim + 1:
+            raise DomainError(f"malformed record {ln!r}")
+        n = tuple(int(p) for p in parts[:dim])
+        if n in entries:
+            raise DomainError(f"duplicate record for index {n}")
+        entries[n] = float(parts[dim])
+    return CoefficientField(dim, kind, degree, entries)
+
+
+def _exit_code_of(read, path):
+    """The field read, or the exit code the CLI gives the reader's error."""
+    try:
+        return read(path)
+    except DomainError:
+        return 2
+    except ValueError:
+        return 1
+
+
+@given(text=coefficient_files())
+@example(text=TOTAL_1D + "0,1.0\n1,2.0\n0,3.0\n2,x\n")  # a duplicate, then a bad value
+@example(text=TOTAL_1D + "0,1.0\n0,x\n")  # a duplicate whose own value is bad
+@example(text=TOTAL_1D + "-1,1.0\n2.5,1.0\n")  # a negative index, then a bad index token
+@example(text=TOTAL_1D + "9" * 30 + ",1.0\n1,nan\n")
+@settings(max_examples=300, deadline=None)
+def test_array_reader_gives_the_former_exit_codes(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_text(text)
+        want = _exit_code_of(reference_read_coefficients, path)
+        got = _exit_code_of(read_coefficients, path)
+    assert got == want
 
 
 @st.composite

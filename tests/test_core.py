@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 
 from orthlag.core import (
     DomainError,
-    box_indices,
-    compositions,
-    graded_lex_key,
     index_order,
     laguerre_fn_derivative_sweep,
     laguerre_fn_derivatives,
@@ -16,7 +13,7 @@ from orthlag.core import (
     laguerre_fn_log_abs,
     laguerre_fn_sweep,
     laguerre_poly_eval,
-    total_degree_indices,
+    truncation_index,
     validate_multi_index,
 )
 
@@ -137,15 +134,23 @@ class TestMultiIndices:
 
     def test_total_degree_count(self):
         # |{n : |n| <= M}| = C(M + d, d)
-        assert len(list(total_degree_indices(3, 4))) == math.comb(7, 3)
+        for d in range(1, 5):
+            for M in range(7):
+                assert truncation_index("total", d, M).shape == (math.comb(M + d, d), d)
 
     def test_box_count(self):
-        assert len(list(box_indices(2, 3))) == 16
+        for d in range(1, 5):
+            for M in range(5):
+                assert truncation_index("box", d, M).shape == ((M + 1) ** d, d)
 
     def test_graded_lex_order(self):
-        idx = list(total_degree_indices(2, 3))
-        assert idx == sorted(idx, key=graded_lex_key)
+        idx = [tuple(n) for n in truncation_index("total", 2, 3).tolist()]
         assert idx[:4] == [(0, 0), (0, 1), (1, 0), (0, 2)]
+        # an independent key: |n| first, then the entries as base-(M+1) digits
+        for kind, d, M in [("total", 3, 5), ("box", 3, 4), ("box", 4, 2)]:
+            rows = truncation_index(kind, d, M).tolist()
+            keys = [(sum(n), int("".join(map(str, n)), M + 1)) for n in rows]
+            assert keys == sorted(keys)
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5))
     def test_order_is_permutation_invariant(self, entries):
@@ -155,6 +160,52 @@ class TestMultiIndices:
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=4))
     def test_compositions_sum(self, total, parts):
-        combos = list(compositions(total, parts))
-        assert all(sum(c) == total for c in combos)
+        # the shell |n| = total of the truncation set holds the compositions of total
+        rows = truncation_index("total", parts, total)
+        combos = [tuple(n) for n in rows[rows.sum(axis=1) == total].tolist()]
+        assert all(min(c) >= 0 for c in combos)
         assert len(set(combos)) == len(combos) == math.comb(total + parts - 1, parts - 1)
+
+    @given(st.sampled_from(["total", "box"]), st.integers(1, 4), st.integers(0, 6))
+    def test_rows_are_unique_and_within_the_bound(self, kind, dim, degree):
+        rows = truncation_index(kind, dim, degree)
+        assert rows.dtype == np.int64 and rows.min(initial=0) >= 0
+        reach = rows.sum(axis=1) if kind == "total" else rows.max(axis=1)
+        assert reach.max() == degree
+        assert len({tuple(n) for n in rows.tolist()}) == len(rows)
+
+    @pytest.mark.parametrize("kind,dim,degree", [
+        ("simplex", 2, 3), ("total", 0, 3), ("box", -1, 2), ("total", 2, -1), ("box", 1, -1),
+    ])
+    def test_truncation_index_rejects_bad_arguments(self, kind, dim, degree):
+        with pytest.raises(DomainError):
+            truncation_index(kind, dim, degree)
+
+
+def reference_compositions(total, parts):
+    """The former recursive generator, kept as the reference: all multi-indices
+    with `parts` entries summing to `total`, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_truncation_indices(kind, dim, degree):
+    """The former total-degree and box generators: graded lexicographic."""
+    for m in range((dim if kind == "box" else 1) * degree + 1):
+        for n in reference_compositions(m, dim):
+            if kind == "total" or max(n) <= degree:
+                yield n
+
+
+@pytest.mark.parametrize("kind", ["total", "box"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_truncation_index_matches_the_recursive_generators(kind, dim):
+    for degree in range(13):
+        want = list(reference_truncation_indices(kind, dim, degree))
+        got = truncation_index(kind, dim, degree)
+        assert got.dtype == np.int64 and got.shape == (len(want), dim)
+        assert [tuple(n) for n in got.tolist()] == want

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from orthlag.analysis import SpaceParams, eta_seminorm, log_theta_weight, log_weighted_seq_norm
-from orthlag.core import DomainError, total_degree_indices
+from orthlag.core import DomainError, truncation_index
 from orthlag.fields import exp_decay_field, laguerre_field
 from orthlag.operators import (
     _logsumexp,
@@ -26,7 +26,7 @@ def unit_field(n, degree=None):
 
 
 def random_field(rng, dim, degree):
-    entries = {n: rng.uniform(-1, 1) for n in total_degree_indices(dim, degree)}
+    entries = {n: rng.uniform(-1, 1) for n in map(tuple, truncation_index("total", dim, degree).tolist())}
     return CoefficientField(dim, "total", degree, entries)
 
 
@@ -209,12 +209,13 @@ def reference_fields():
     fields = []
     for dim, degree in ((1, 40), (2, 12), (3, 6)):
         for scale in (1e-300, 1e200):
-            idx = list(total_degree_indices(dim, degree))
+            idx = list(map(tuple, truncation_index("total", dim, degree).tolist()))
             vals = rng.standard_normal(len(idx)) * scale
             vals[rng.random(len(idx)) < 0.3] = 0.0
             fields.append(CoefficientField(dim, "total", degree, dict(zip(idx, vals.tolist()))))
     fields.append(CoefficientField(2, "box", 10**15, {(10**15, 3): 1e-30, (0, 0): 2.0, (7, 10**12): -0.5}))
-    fields.append(CoefficientField(2, "total", 5, dict.fromkeys(total_degree_indices(2, 5), 0.0)))
+    zeros = dict.fromkeys(map(tuple, truncation_index("total", 2, 5).tolist()), 0.0)
+    fields.append(CoefficientField(2, "total", 5, zeros))
     fields.append(CoefficientField(1, "total", 4, {(0,): -3.5}))
     return fields
 

@@ -5,15 +5,14 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthlag.core import (
     DomainError,
-    graded_lex_key,
     laguerre_fn_derivative_sweep,
     laguerre_fn_sweep,
-    total_degree_indices,
-    truncation_indices,
+    truncation_index,
+    validate_multi_index,
 )
 from orthlag.fields import exp_decay_field, laguerre_field, separable_poly_exp_field
 from orthlag.quadrature import gauss_laguerre_rule
@@ -27,6 +26,15 @@ from orthlag.transform import (
     synthesize,
     write_coefficients,
 )
+
+
+def index_tuples(kind, dim, degree):
+    """The truncation set as a list of tuples, graded lexicographic."""
+    return [tuple(n) for n in truncation_index(kind, dim, degree).tolist()]
+
+
+def graded_lex_key(n):
+    return (sum(n), tuple(n))
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +80,14 @@ class TestAnalyze:
 
     def test_exp_decay_2d(self, rule64):
         a = analyze(exp_decay_field(2), 12, rule64)
-        for n in total_degree_indices(2, 12):
+        for n in index_tuples("total", 2, 12):
             expected = (2.0 / 3.0) ** 2 * (1.0 / 3.0) ** sum(n)
             assert a.get(n) == pytest.approx(expected, abs=1e-9)
 
     def test_exp_decay_3d_streaming_path(self):
         rule = gauss_laguerre_rule(20)
         a = analyze(exp_decay_field(3), 3, rule)
-        for n in total_degree_indices(3, 3):
+        for n in index_tuples("total", 3, 3):
             expected = (2.0 / 3.0) ** 3 * (1.0 / 3.0) ** sum(n)
             assert a.get(n) == pytest.approx(expected, abs=1e-9)
 
@@ -118,7 +126,7 @@ def reference_analyze(f, degree, rule, kind="total"):
     d = f.dim
     nodes, wmod = rule.nodes, rule.modified_weights
     V = laguerre_fn_sweep(degree, nodes)
-    indices = list(truncation_indices(kind, d, degree))
+    indices = index_tuples(kind, d, degree)
     acc = {n: [] for n in indices}
     for tup in product(range(rule.size), repeat=d):
         wf = float(np.prod(wmod[list(tup)])) * float(f.evaluator(nodes[list(tup)]))
@@ -179,7 +187,7 @@ def reference_deriv(a, x):
 
 
 def random_coefficients(rng, dim, degree, kind="total"):
-    entries = {n: rng.uniform(-1, 1) for n in truncation_indices(kind, dim, degree)}
+    entries = {n: rng.uniform(-1, 1) for n in index_tuples(kind, dim, degree)}
     return CoefficientField(dim, kind, degree, entries)
 
 
@@ -257,6 +265,44 @@ def test_synthesize_memory_follows_the_term_count(case):
     assert np.linalg.norm(synthesize(a, sample) - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def unblocked_synthesize(a, points):
+    """The former synthesis, kept as the reference: one sweep per axis over
+    all the points at once, then the same gather blocks."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    sweeps = [laguerre_fn_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
+    block = max(1, 2**16 // a.values.size)
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], block):
+        cols = slice(lo, lo + block)
+        terms = sweeps[0][:, cols].take(a.index[:, 0], axis=0)
+        for j in range(1, a.dim):
+            terms *= sweeps[j][:, cols].take(a.index[:, j], axis=0)
+        out[cols] = a.values @ terms
+    return out
+
+
+def test_synthesize_memory_does_not_grow_with_the_largest_index():
+    # one large n_j: sweeping all 10k points at once up to n_j = 2000 would
+    # hold 2001 x 10k values (153 MiB); the sweeps go over blocks of points
+    a = CoefficientField(2, "box", 2000, {(2000, 0): 1.5, (0, 3): -0.7})
+    pts = np.random.default_rng(4).uniform(0.0, 50.0, size=(10_000, 2))
+    assert synthesize_peak(a, pts) < 32 * 2**20
+    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
+
+
+def test_sweep_blocks_hold_whole_gather_blocks():
+    # 301 terms gather 217 points at a time; a sweep block (524 points for
+    # n_j up to 2000) is cut to 434, two whole gather blocks, so every sum
+    # runs over the same points as without sweep blocks
+    rng = np.random.default_rng(5)
+    entries = {(int(i), int(j)): float(v) for i, j, v in
+               zip(rng.integers(0, 2001, 300), rng.integers(0, 2001, 300), rng.uniform(-1, 1, 300))}
+    entries[(2000, 0)] = 1.0
+    a = CoefficientField(2, "box", 2000, entries)
+    pts = rng.uniform(0.0, 50.0, size=(2_000, 2))
+    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
+
+
 class TestSynthesize:
     def test_single_term(self):
         a = CoefficientField(1, "total", 0, {(0,): 1.0})
@@ -278,7 +324,7 @@ class TestSynthesize:
 
     def test_idempotent_roundtrip_band_limited(self, rule64):
         rng = np.random.default_rng(7)
-        entries = {n: rng.uniform(-1, 1) for n in total_degree_indices(2, 8)}
+        entries = {n: rng.uniform(-1, 1) for n in index_tuples("total", 2, 8)}
         a = CoefficientField(2, "total", 8, entries)
         back = analyze(as_scalar_field(a), 8, rule64)
         for n in entries:
@@ -372,10 +418,84 @@ def coefficient_mappings(draw):
     dim = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["total", "box"]))
     degree = draw(st.integers(0, 6))
-    indices = list(truncation_indices(kind, dim, degree))
+    indices = index_tuples(kind, dim, degree)
     keys = draw(st.lists(st.sampled_from(indices), unique=True, max_size=len(indices)))
     values = st.floats(allow_nan=False, allow_infinity=False)
     return dim, kind, degree, {n: draw(values) for n in keys}
+
+
+def reference_field_arrays(dim, kind, degree, entries):
+    """The former per-entry constructor loop, kept as the reference: each key
+    validated in mapping order, then the arrays sorted graded-lex and the
+    values checked for finiteness.  Returns (index, values)."""
+    if kind not in ("total", "box"):
+        raise DomainError(f"truncation kind must be one of {('total', 'box')}")
+    if dim < 1 or degree < 0:
+        raise DomainError("dimension must be >= 1 and degree >= 0")
+    if (degree if kind == "total" else degree * dim) >= 2**63:
+        raise DomainError(f"{kind} degree {degree} in dimension {dim} allows |n| >= 2^63")
+    reach = sum if kind == "total" else max
+    rows = []
+    for n in map(validate_multi_index, entries):
+        if len(n) != dim:
+            raise DomainError(f"index {n} has wrong dimension (expected {dim})")
+        if reach(n) > degree:
+            raise DomainError(f"index {n} violates {kind} bound {degree}")
+        rows.append(n)
+    index = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    values = np.array(list(entries.values()), dtype=float)
+    orders = index.sum(axis=1)
+    order = np.lexsort((*index.T[::-1], orders))
+    index, values = index[order], values[order]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        n, v = tuple(index[bad[0]].tolist()), float(values[bad[0]])
+        raise DomainError(f"coefficient at index {n} is not finite: {v!r}")
+    return index, values
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def mixed_key_mappings(draw):
+    """Mappings whose keys mix ints, np.int64, integral floats, 2.5,
+    negatives, wrong lengths, out-of-bound and 30-digit entries."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["total", "box"]))
+    degree = draw(st.integers(0, 6))
+    valid = st.one_of(st.integers(0, 8), st.integers(0, 8).map(np.int64), st.integers(0, 8).map(float))
+    entry = st.one_of(valid, valid, valid,
+                      st.sampled_from([2.5, -1, np.int64(-2), -3.0, 10**30, -(10**30), 2**63, 2**62]))
+    key = st.integers(-1, 1).flatmap(lambda extra: st.tuples(*[entry] * max(dim + extra, 0)))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf]))
+    keys = draw(st.lists(key, max_size=8))
+    return dim, kind, degree, {n: draw(value) for n in keys}
+
+
+@given(mixed_key_mappings())
+@example((1, "total", 6, {(2.5,): 1.0, (1,): 2.0}))  # a fraction within the bound
+@example((2, "total", 6, {(2**62, 2**62): 1.0}))  # a row sum beyond int64
+@example((2, "total", 6, {(np.int64(2**62), np.int64(2**62)): 1.0}))
+@example((3, "box", 2**61, {(2**61, 2**61, 2**61): 1.0, (0, 2**61 + 1, 0): 2.0}))
+@example((1, "total", 6, {(3,): math.nan, (1,): math.inf}))  # the first non-finite in graded-lex order
+@settings(max_examples=500, deadline=None)
+def test_array_path_matches_the_per_entry_loop(case):
+    dim, kind, degree, mapping = case
+    want = _outcome(lambda: reference_field_arrays(dim, kind, degree, mapping))
+    rows, values = list(mapping), list(mapping.values())
+    for build in (lambda: CoefficientField(dim, kind, degree, mapping),
+                  lambda: CoefficientField._from_arrays(dim, kind, degree, rows, values)):
+        got = _outcome(build)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got.index, want[0]) and np.array_equal(got.values, want[1])
+            assert got.index.dtype == np.int64
 
 
 class TestArrayContainer:

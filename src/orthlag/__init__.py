@@ -38,7 +38,6 @@ from .analysis import (
     eta_seminorm,
     gtype_seminorm,
     norm_equivalence_gap,
-    schwartz_seminorm,
     theta_weight,
     weighted_seq_norm,
 )
@@ -75,5 +74,4 @@ __all__ = [
     "classify_membership",
     "eta_seminorm",
     "gtype_seminorm",
-    "schwartz_seminorm",
 ]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, exp_or_inf, index_order, truncation_index
+from .core import DomainError, exp_or_inf, index_order, truncation_index, truncation_shell_counts
 from .operators import log_iterate_norm, log_shell_weighted_norm
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
 from .transform import CoefficientField, ScalarField
@@ -105,11 +105,11 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
     if math.inf in (log_l2, log_sup):
         raise DomainError(f"a weighted norm is beyond binary64 even in log form at alpha={alpha}")
-    counts = np.bincount(truncation_index(a.truncation_kind, a.dim, a.degree).sum(axis=1))
+    counts = truncation_shell_counts(a.truncation_kind, a.dim, a.degree)
     # per shell e^{-2 (h-h1) m^{1/(2 alpha)}}, which is 0 where the exponent overflows
     gap = SpaceParams(alpha=alpha, scale=h - h1)
-    shell_terms = counts * np.array([math.exp(-2.0 * log_theta_weight(m, gap)) for m in range(counts.size)])
-    constant = math.sqrt(math.fsum(shell_terms.tolist()))
+    shell_terms = [c * math.exp(-2.0 * log_theta_weight(m, gap)) for m, c in enumerate(counts)]
+    constant = math.sqrt(math.fsum(shell_terms))
     ratio = 0.0 if log_sup == -math.inf else math.exp(log_l2 - log_sup)
     if ratio > constant * (1.0 + 1e-12):
         raise ArithmeticError(
@@ -347,80 +347,6 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Search grid for orthant suprema: a log-spaced grid (plus the boundary
-    point 0) refined locally around the running maximum."""
-
-    low: float = 1e-3
-    high: float = 100.0
-    points: int = 200
-    refine_rounds: int = 8
-    refine_points: int = 33
-
-
-def _axis_grid(spec: GridSpec) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(spec.low, spec.high, spec.points)])
-
-
-def schwartz_seminorm(
-    f: ScalarField,
-    k,
-    p,
-    grid: GridSpec | None = None,
-) -> float:
-    """Grid supremum of x^k |D^p f(x)| over the closed orthant.
-
-    Reported as a lower bound of the true supremum: the coarse log-spaced grid
-    is refined around the located maximum, shrinking the search box each round.
-    """
-    grid = grid or GridSpec()
-    k = tuple(int(v) for v in k)
-    p = tuple(int(v) for v in p)
-    if len(k) != f.dim or len(p) != f.dim:
-        raise DomainError("seminorm multi-indices must match the field dimension")
-
-    if any(v > 0 for v in p):
-        if f.partial is None:
-            raise DomainError("field does not supply high-order partial derivatives")
-        df = lambda x: f.partial(p, x)
-    else:
-        df = f.evaluator
-
-    def g(x):
-        mono = 1.0
-        for xj, kj in zip(x, k):
-            mono *= xj ** kj
-        return mono * abs(float(df(np.asarray(x, dtype=float))))
-
-    axis = _axis_grid(grid)
-    if f.dim == 1:
-        pts = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis[:: max(1, len(axis) // 40)]] * f.dim), indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-    vals = np.array([g(x) for x in pts])
-    best = int(np.argmax(vals))
-    best_x = pts[best].copy()
-    best_val = float(vals[best])
-
-    width = np.full(f.dim, (grid.high - grid.low) / grid.points * 4.0)
-    width = np.maximum(width, best_x * 0.1 + 1e-3)
-    for _ in range(grid.refine_rounds):
-        for j in range(f.dim):
-            lo = max(0.0, best_x[j] - width[j])
-            hi = best_x[j] + width[j]
-            for xj in np.linspace(lo, hi, grid.refine_points):
-                cand = best_x.copy()
-                cand[j] = xj
-                val = g(cand)
-                if val > best_val:
-                    best_val = val
-                    best_x = cand
-        width *= 0.2
-    return best_val
-
-
-@dataclass(frozen=True)
 class GTypeReport:
     """Truncated derivative-based seminorm: the running maximum of the
     weighted L2 ratios over derivative/monomial orders up to P."""
@@ -488,22 +414,3 @@ def gtype_seminorm(
     increments = [running[0]] + [running[i] - running[i - 1] for i in range(1, len(running))]
     return GTypeReport(value=best_val, argmax=best_pair, running_max=running, increments=increments)
 
-
-def sigma_seminorm(
-    f: ScalarField,
-    params: SpaceParams,
-    j: int | None = None,
-    P: int = 6,
-    rule: QuadratureRule | None = None,
-    grid: GridSpec | None = None,
-) -> float:
-    """Full seminorm at order j: the weighted-derivative part plus the
-    supremum part max over |p| <= j, |k| <= j of sup_x x^k |D^p f|."""
-    j = P if j is None else j
-    gt = gtype_seminorm(f, params, P=P, rule=rule)
-    sup_part = 0.0
-    indices = truncation_index("total", f.dim, j).tolist()
-    for p in indices:
-        for k in indices:
-            sup_part = max(sup_part, schwartz_seminorm(f, k, p, grid=grid))
-    return gt.value + sup_part

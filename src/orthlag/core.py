@@ -75,6 +75,22 @@ def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
     return np.column_stack(cols + [rest])
 
 
+def truncation_shell_counts(kind: str, dim: int, degree: int) -> list[int]:
+    """Exact number of multi-indices on each shell |n| = m of the truncation
+    set: comb(m+dim-1, dim-1) for "total", the dim-fold convolution of
+    degree+1 ones for "box"; memory O(dim * degree), not O(set size)."""
+    if kind not in TRUNCATION_KINDS:
+        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
+    if dim < 1 or degree < 0:
+        raise DomainError("dimension must be >= 1 and degree >= 0")
+    if kind == "total":
+        return [math.comb(m + dim - 1, dim - 1) for m in range(degree + 1)]
+    counts = np.ones(1, dtype=object)  # Python ints, so no count can overflow
+    for _ in range(dim):
+        counts = np.convolve(counts, np.ones(degree + 1, dtype=object))
+    return counts.tolist()
+
+
 def exp_or_inf(log_value: float) -> float:
     """e^log_value, or inf where that exceeds binary64."""
     try:
@@ -123,34 +139,34 @@ def laguerre_fn_sweep(max_degree: int, x) -> np.ndarray:
     return out
 
 
-def laguerre_fn_log_abs(degree: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(log|l_degree(x)|, sign) via an exponent-tracked recurrence.
+def laguerre_fn_log_christoffel(K: int, x) -> np.ndarray:
+    """log sum_{j<K} l_j(x)^2, the log of the inverse Christoffel function.
 
     The plain damped sweep starts from e^{-x/2}, which underflows binary64
-    beyond x ~ 1400 even when l_degree(x) itself is representable; here the
-    bare-polynomial recurrence runs on a rescaled sequence with the exponent
-    accumulated separately, so the result is valid for any x >= 0.
+    beyond x ~ 1400; here the bare-polynomial recurrence runs on a rescaled
+    sequence with the exponent accumulated separately, so the result is valid
+    for any x >= 0.  The squares are summed on the same scale, hence the
+    rescaling threshold 1e100 keeps the sum inside binary64.
     """
-    if degree < 0:
-        raise DomainError("degree must be nonnegative")
+    if K != int(K) or K < 1:
+        raise DomainError(f"number of terms must be a positive integer, got {K!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise DomainError("arguments must be nonnegative")
     g = -x / 2.0
-    u_prev = np.ones_like(x)
-    if degree == 0:
-        return g, np.ones_like(x)
-    u = 1.0 - x
-    for j in range(1, degree):
+    u_prev, u = np.zeros_like(x), np.ones_like(x)
+    S = np.ones_like(x)
+    for j in range(int(K) - 1):
         u_prev, u = u, ((2 * j + 1 - x) * u - j * u_prev) / (j + 1)
+        S = S + u * u
         mag = np.maximum(np.abs(u), np.abs(u_prev))
-        if np.any(mag > 1e200):
-            scale = np.where(mag > 1e200, mag, 1.0)
+        if np.any(mag > 1e100):
+            scale = np.where(mag > 1e100, mag, 1.0)
             u = u / scale
             u_prev = u_prev / scale
+            S = S / (scale * scale)
             g = g + np.log(scale)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(u)) + g, np.sign(u)
+    return np.log(S) + 2.0 * g
 
 
 def laguerre_fn_derivative_sweep(max_degree: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Gauss-Laguerre quadrature on (0, inf) and tensor-product orthant integrals.
 
-Nodes come from the symmetric tridiagonal Jacobi matrix (Golub-Welsch);
-weights are recovered through the damped Laguerre-function values, so the
-exponent-compensated weights e^{x_k} w_k are available in log form even when
-the bare weights underflow binary64 (large rules have nodes beyond 700).
+Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+(Golub-Welsch); each weight comes from its Christoffel number, summed in log
+form, so the exponent-compensated weights e^{x_k} w_k are accurate at every
+node even where the bare weights underflow binary64 (large rules have nodes
+beyond 700).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .core import DomainError, laguerre_fn_log_abs
+from .core import DomainError, laguerre_fn_log_christoffel
 
 MAX_RULE_SIZE = 512
 
@@ -30,12 +31,17 @@ class QuadratureRule:
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     log_modified_weights: np.ndarray
 
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The bare weights w_k, zero where they underflow binary64."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_modified_weights - self.nodes)
 
     @property
     def modified_weights(self) -> np.ndarray:
@@ -47,33 +53,18 @@ def gauss_laguerre_rule(K: int) -> QuadratureRule:
     """K-node Gauss-Laguerre rule, exact for polynomials of degree <= 2K-1.
 
     Nodes are eigenvalues of the K x K symmetric tridiagonal matrix with
-    diagonal 2k+1 (k = 0..K-1) and off-diagonal k (k = 1..K-1); the weight is
-    the squared first eigenvector component.  Where that component underflows
-    (large rules have nodes beyond 1400) the log-modified weight falls back to
-    the closed form
+    diagonal 2k+1 (k = 0..K-1) and off-diagonal k (k = 1..K-1).  The weights
+    follow from the Christoffel-number identity
 
-        log w_k + x_k = log x_k - 2 log|l_{K+1}(x_k)| - 2 log(K+1)
+        1 / (e^{x_k} w_k) = sum_{j<K} l_j(x_k)^2,
 
-    evaluated through an exponent-tracked recurrence.
+    evaluated through an exponent-tracked recurrence, one path for every node.
     """
     if K != int(K) or not 1 <= K <= MAX_RULE_SIZE:
         raise DomainError(f"rule size must be an integer in [1, {MAX_RULE_SIZE}], got {K!r}")
     K = int(K)
-    diag = 2.0 * np.arange(K) + 1.0
-    if K == 1:
-        nodes = diag.copy()
-        weights = np.ones(1)
-    else:
-        # the default stemr driver flushes tiny eigenvector components to
-        # exact zero; stev keeps them accurate down to the underflow limit
-        nodes, vecs = eigh_tridiagonal(diag, np.arange(1, K, dtype=float), lapack_driver="stev")
-        with np.errstate(under="ignore"):
-            weights = vecs[0] ** 2
-    log_abs, _ = laguerre_fn_log_abs(K + 1, nodes)
-    fallback = np.log(nodes) - 2.0 * log_abs - 2.0 * math.log(K + 1)
-    with np.errstate(divide="ignore"):
-        log_modified = np.where(weights > 0.0, np.log(weights) + nodes, fallback)
-    return QuadratureRule(nodes=nodes, weights=weights, log_modified_weights=log_modified)
+    nodes = eigvalsh_tridiagonal(2.0 * np.arange(K) + 1.0, np.arange(1.0, K))
+    return QuadratureRule(nodes=nodes, log_modified_weights=-laguerre_fn_log_christoffel(K, nodes))
 
 
 def default_rule_size(degree: int) -> int:

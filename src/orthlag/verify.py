@@ -108,11 +108,18 @@ def check_gram_identity():
     return _check("quadrature", "Gram matrix vs identity (M = 32)", worst, 1e-10)
 
 
-def check_modified_weight_stability():
-    rule = quadrature.gauss_laguerre_rule(512)
-    mw = rule.modified_weights
-    bad = 0.0 if (np.all(np.isfinite(mw)) and np.all(mw > 0)) else 1.0
-    return _check("quadrature", "modified weights finite and positive (K = 512)", bad, 0.0)
+def check_log_space_moments():
+    # the moments in log form reach the nodes whose bare weight underflows
+    K = 512
+    rule = quadrature.gauss_laguerre_rule(K)
+    log_w = rule.log_modified_weights - rule.nodes
+    log_x = np.log(rule.nodes)
+    worst = 0.0
+    for m in range(2 * K):
+        exact = math.lgamma(m + 1)
+        err = abs(operators._logsumexp(log_w + m * log_x) - exact) / max(1.0, exact)
+        worst = max(worst, err)
+    return _check("quadrature", f"log-space moments m <= 2K-1 (K = {K})", worst, 1e-12)
 
 
 # --- transform ---------------------------------------------------------------
@@ -317,7 +324,7 @@ SUITES = {
         check_moment_exactness,
         check_weight_sum,
         check_gram_identity,
-        check_modified_weight_stability,
+        check_log_space_moments,
     ],
     "transform": [
         check_exp_decay_coefficients,

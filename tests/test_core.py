@@ -10,10 +10,11 @@ from orthlag.core import (
     laguerre_fn_derivative_sweep,
     laguerre_fn_derivatives,
     laguerre_fn_eval,
-    laguerre_fn_log_abs,
+    laguerre_fn_log_christoffel,
     laguerre_fn_sweep,
     laguerre_poly_eval,
     truncation_index,
+    truncation_shell_counts,
     validate_multi_index,
 )
 
@@ -111,16 +112,15 @@ class TestRecurrenceInvariants:
             resid = xs * ddl[j] + dl[j] - (xs / 4) * l[j] + 0.5 * l[j] + j * l[j]
             assert np.max(np.abs(resid)) <= 1e-8
 
-    def test_log_abs_matches_direct_sweep(self):
-        xs = np.array([0.5, 4.0, 60.0])
-        direct = laguerre_fn_sweep(25, xs)[25]
-        log_abs, sign = laguerre_fn_log_abs(25, xs)
-        rebuilt = sign * np.exp(log_abs)
-        assert np.allclose(rebuilt, direct, rtol=1e-11)
+    @pytest.mark.parametrize("K,xs", [(26, [0.5, 4.0, 60.0]), (300, [600.0])], ids=["K26", "K300-rescaled"])
+    def test_log_christoffel_matches_direct_sweep(self, K, xs):
+        # at x = 600 the bare polynomials pass 1e100, so the rescaling runs
+        xs = np.array(xs)
+        direct = np.log(np.sum(laguerre_fn_sweep(K - 1, xs) ** 2, axis=0))
+        assert np.allclose(laguerre_fn_log_christoffel(K, xs), direct, rtol=1e-12)
 
-    def test_log_abs_survives_huge_arguments(self):
-        log_abs, _ = laguerre_fn_log_abs(513, np.array([2000.0]))
-        assert np.isfinite(log_abs).all()
+    def test_log_christoffel_survives_huge_arguments(self):
+        assert np.isfinite(laguerre_fn_log_christoffel(512, np.array([2000.0]))).all()
 
 
 class TestMultiIndices:
@@ -180,6 +180,15 @@ class TestMultiIndices:
     def test_truncation_index_rejects_bad_arguments(self, kind, dim, degree):
         with pytest.raises(DomainError):
             truncation_index(kind, dim, degree)
+        with pytest.raises(DomainError):
+            truncation_shell_counts(kind, dim, degree)
+
+    @pytest.mark.parametrize("kind", ["total", "box"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_shell_counts_match_the_truncation_set(self, kind, dim):
+        for degree in range(9):
+            counts = np.bincount(truncation_index(kind, dim, degree).sum(axis=1))
+            assert truncation_shell_counts(kind, dim, degree) == counts.tolist()
 
 
 def reference_compositions(total, parts):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from orthlag.core import DomainError, laguerre_fn_sweep
 from orthlag.quadrature import (
@@ -69,6 +70,39 @@ class TestModifiedWeights:
         rule = gauss_laguerre_rule(40)
         assert rule.modified_weights == pytest.approx(
             rule.weights * np.exp(rule.nodes), rel=1e-12
+        )
+
+
+    @pytest.mark.parametrize("K", [416, 512])
+    def test_log_space_moments_up_to_degree_2K_minus_1(self, K):
+        # log sum_k w_k x_k^m = log m!, with w_k from the log-modified weights,
+        # so the nodes whose bare weight underflows count as well
+        rule = gauss_laguerre_rule(K)
+        log_w = rule.log_modified_weights - rule.nodes
+        log_x = np.log(rule.nodes)
+        worst = 0.0
+        for m in range(2 * K):
+            terms = log_w + m * log_x
+            top = terms.max()
+            lse = top + math.log(float(np.sum(np.exp(terms - top))))
+            exact = math.lgamma(m + 1)
+            worst = max(worst, abs(lse - exact) / max(1.0, exact))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("K", [1, 2, 30, 136, 512])
+    def test_matches_eigenvector_rule(self, K):
+        # reference: nodes and squared first eigenvector components of the
+        # Jacobi matrix, compared where that weight is a normal binary64 number
+        nodes, vecs = eigh_tridiagonal(
+            2.0 * np.arange(K) + 1.0, np.arange(1.0, K), lapack_driver="stev"
+        )
+        with np.errstate(under="ignore"):
+            weights = vecs[0] ** 2
+        normal = weights >= np.finfo(float).tiny
+        rule = gauss_laguerre_rule(K)
+        assert rule.nodes == pytest.approx(nodes, rel=1e-10)
+        assert rule.log_modified_weights[normal] == pytest.approx(
+            np.log(weights[normal]) + nodes[normal], abs=1e-10
         )
 
 

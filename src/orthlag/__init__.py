@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 
 from .core import (
     DomainError,
-    laguerre_fn_derivatives,
     laguerre_fn_eval,
-    laguerre_poly_eval,
     truncation_index,
 )
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
@@ -44,9 +42,7 @@ from .analysis import (
 
 __all__ = [
     "DomainError",
-    "laguerre_poly_eval",
     "laguerre_fn_eval",
-    "laguerre_fn_derivatives",
     "truncation_index",
     "QuadratureRule",
     "gauss_laguerre_rule",

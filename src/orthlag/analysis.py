@@ -1,14 +1,15 @@
 """Weighted sequence-space norms, coefficient-decay estimation, and the
 seminorm diagnostics that classify membership in the decay-graded function
-spaces on the orthant.
+spaces on the orthant; every diagnostic takes a `CoefficientField`.
 
-The weight family is theta_{h,alpha}(n) = e^{h |n|^{1/(2 alpha)}}.  A series
-with coefficients decaying like e^{-c |n|^t} belongs to the union-type
-(Roumieu) class at level alpha when t = 1/(2 alpha) with some positive rate,
-and to the intersection-type (Beurling) class when the decay beats every rate
-at that exponent.  The classifier estimates (c, t) from shell maxima and maps
-the fitted exponent through the coefficient characterization: membership of f
-at smoothness level alpha corresponds to coefficient decay exponent 1/alpha.
+Coefficients decaying like e^{-c |n|^t} with some positive rate c put a
+series in the union-type (Roumieu) class of their exponent t, and decay that
+beats every rate at t in the intersection-type (Beurling) class.  The
+diagnostics do not yet read the smoothness index alpha the same way:
+  norms     weight |a_n| by theta_{h,alpha}(n) = e^{h |n|^{1/(2 alpha)}}
+  classify  compares the decay exponent t fitted to shell maxima with 1/alpha
+  eta       divides ||E^N f|| by h^N N!^alpha
+  gtype     divides ||x^{(p+k)/2} D^p f|| by A^{|p|+|k|} k^{(alpha/2)k} p^{(alpha/2)p}
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import DomainError, exp_or_inf, index_order, truncation_index, truncation_shell_counts
 from .operators import log_iterate_norm, log_shell_weighted_norm
-from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
-from .transform import CoefficientField, ScalarField
+from .transform import CoefficientField
 
 ROUMIEU = "union"
 BEURLING = "intersection"
@@ -346,71 +347,131 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
 # derivative-based seminorms
 # ---------------------------------------------------------------------------
 
+MAX_GTYPE_BOX = 2**20  # cap on the entries of the G-type seminorm's dense stack (8 MiB per copy)
+
+
 @dataclass(frozen=True)
 class GTypeReport:
-    """Truncated derivative-based seminorm: the running maximum of the
-    weighted L2 ratios over derivative/monomial orders up to P."""
+    """Truncated derivative-based seminorm in log form: the first (p, k) in
+    graded-lex order to reach the maximum ratio, its log, and the log running
+    maximum per order max(|p|, |k|) = 0..P (saturated when the last two agree)."""
 
-    value: float
     argmax: tuple[tuple[int, ...], tuple[int, ...]]
-    running_max: list[float]
-    increments: list[float]
+    log_value: float  # -inf when every ratio is zero
+    log_running_max: tuple[float, ...]
+
+    @property
+    def value(self) -> float:
+        """The seminorm; inf where it exceeds binary64."""
+        return exp_or_inf(self.log_value)
 
 
-def gtype_seminorm(
-    f: ScalarField,
-    params: SpaceParams,
-    P: int = 6,
-    rule: QuadratureRule | None = None,
-) -> GTypeReport:
+def _scaled(c: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row c[i] divided by its max |c[i]|, that log added to
+    log_scale[i]: the same quantities kept in range (a zero row is kept)."""
+    top = np.abs(c).reshape(len(c), -1).max(axis=1)
+    top = np.where(top > 0, top, 1.0)
+    return c / top.reshape((-1,) + (1,) * (c.ndim - 1)), log_scale + np.log(top)
+
+
+def _derivative(c: np.ndarray, j: int) -> np.ndarray:
+    """Coefficients of d/dx f from those of f along axis j.  By
+    L_n' = -sum_{m<n} L_m, (D a)_n = -a_n/2 - sum_{m > n} a_m: one reverse
+    cumulative sum."""
+    tail = np.flip(np.cumsum(np.flip(c, j), axis=j), j)  # sum over m >= n
+    return c / 2 - tail
+
+
+def _times_x(c: np.ndarray, j: int) -> np.ndarray:
+    """Coefficients of x f from those of f along axis j: the Jacobi matrix
+    (J c)_m = (2m+1) c_m - (m+1) c_{m+1} - m c_{m-1}, from the three-term
+    recurrence.  Exact while the last entry along j is zero."""
+    c = np.moveaxis(c, j, 0)
+    m = np.arange(c.shape[0], dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
+    out = (2 * m + 1) * c
+    out[:-1] -= (m[:-1] + 1) * c[1:]
+    out[1:] -= m[1:] * c[:-1]
+    return np.moveaxis(out, 0, j)
+
+
+def _lex_walk(rows: np.ndarray, start, op):
+    """For each row n of a total-degree set in lexicographic order, yield the
+    stack reached from `start` = (c, log scale) by n_j products with op along
+    each axis j, rescaled after each.  In that order a row is the previous
+    one plus e_i with zeros after i, so it takes one product from the head
+    kept for axis i, and memory stays at d stacks."""
+    d = rows.shape[1]
+    heads, prev = [start] * d, [0] * d
+    for row in rows.tolist():
+        i = next((j for j in range(d) if row[j] != prev[j]), d)
+        if i < d:
+            c, log_scale = heads[i]
+            heads[i:] = [_scaled(op(c, i + 1), log_scale)] * (d - i)  # axis 0 runs over the stack
+        prev = row
+        yield heads[-1]
+
+
+def _log_gtype_norms(a: CoefficientField, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(orders = truncation_index("total", dim, P), log ||x^{(p+k)/2} D^p f||_{L2}
+    indexed [p, k] over its rows); -inf where the norm is zero.
+
+    Exact by Parseval: with s = p + k and b = D^p a, the squared norm is
+    <J^t b, J^{s-t} b> at t = floor(s/2), J^t holding t_j Jacobi factors
+    along each axis j.  Every D^p a sits in one stack of dense boxes of
+    max n_j + 1 + P entries per axis, which J^t never leaves.  Each D^p comes
+    from one D^{p-e_j} and each J^t from one J^{t-e_j}, rescaled after every
+    product with the log scale carried apart, so no P overflows."""
+    n = math.comb(P + a.dim, a.dim)
+    box = [int(m) + 1 + P for m in a.index.max(axis=0, initial=0).tolist()]
+    width = math.prod(box)
+    if n * width > MAX_GTYPE_BOX:
+        raise DomainError(f"G-type seminorm at P={P} needs {n} x {width} dense"
+                          f" coefficients, above the cap of {MAX_GTYPE_BOX}")
+    orders = truncation_index("total", a.dim, P)
+    dense = np.zeros([1] + box)
+    dense[(0, *a.index.T)] = a.values
+    lex = np.lexsort(orders.T[::-1])
+    by_lex = orders[lex]  # row i of the stack is D^{by_lex[i]} a
+    stack = zip(*_lex_walk(by_lex, _scaled(dense, np.zeros(1)), _derivative))
+    slot = np.full((P + 1,) * a.dim, -1)  # the position of each k in `orders`
+    slot[tuple(orders.T)] = np.arange(n)
+    out = np.empty((n, n))
+    for t, (u, log_u) in zip(by_lex, _lex_walk(by_lex, tuple(map(np.concatenate, stack)), _times_x)):
+        for odd in product((0, 1), repeat=a.dim):
+            k = 2 * t + odd - by_lex  # the k that reach this t from each p
+            pi = np.flatnonzero((k >= 0).all(axis=1) & (k.sum(axis=1) <= P))
+            v = u[pi]
+            for j in np.flatnonzero(odd).tolist():
+                v = _times_x(v, j + 1)
+            sq = np.einsum("ij,ij->i", u[pi].reshape(len(pi), width), v.reshape(len(pi), width))
+            with np.errstate(divide="ignore"):
+                out[lex[pi], slot[tuple(k[pi].T)]] = 0.5 * np.log(np.maximum(sq, 0.0)) + log_u[pi]
+    return orders, out
+
+
+def gtype_seminorm(a: CoefficientField, params: SpaceParams, P: int = 6) -> GTypeReport:
     """Maximum over |p|, |k| <= P of
 
         ||x^{(p+k)/2} D^p f||_{L2} / (A^{|p|+|k|} k^{(alpha/2)k} p^{(alpha/2)p})
 
-    with the convention 0^0 = 1 in the denominator factors.  The true
-    supremum over all orders is not computable; the report carries the
-    running maximum per order so saturation is visible.
+    for f = sum_n a_n l_n, with the convention 0^0 = 1 in the denominator
+    factors.  The norms are exact in the coefficients (`_log_gtype_norms`)
+    and every ratio is formed in log space, so the report stays finite for P
+    in the hundreds.  The true supremum over all orders is not computable;
+    the report carries the running maximum per order so saturation is
+    visible.
     """
-    if f.partial is None:
-        raise DomainError("field does not supply high-order partial derivatives")
-    if P < 0:
-        raise DomainError(f"max order must be >= 0, got {P}")
-    rule = rule or gauss_laguerre_rule(128)
-    log_A = math.log(params.scale)
-    half_alpha = params.alpha / 2.0
-
-    def log_weighted_power(idx):
-        # log of prod_j idx_j^{(alpha/2) idx_j}, 0^0 = 1
-        return half_alpha * sum(v * math.log(v) for v in idx if v > 0)
-
-    p_list = k_list = list(map(tuple, truncation_index("total", f.dim, P).tolist()))
-    best_val = 0.0
-    best_pair = (p_list[0], k_list[0])
-    per_order = {}
-    for p in p_list:
-        for k in k_list:
-            def integrand(x, _p=p, _k=k):
-                mono = 1.0
-                for xj, pj, kj in zip(x, _p, _k):
-                    mono *= xj ** (pj + kj)
-                dval = float(f.partial(_p, x))
-                return mono * dval * dval
-
-            sq = integrate_orthant(integrand, rule, f.dim)
-            sq = max(sq, 0.0)
-            log_num = 0.5 * math.log(sq) if sq > 0 else -math.inf
-            log_den = (sum(p) + sum(k)) * log_A + log_weighted_power(k) + log_weighted_power(p)
-            ratio = 0.0 if log_num == -math.inf else math.exp(log_num - log_den)
-            order = max(sum(p), sum(k))
-            per_order[order] = max(per_order.get(order, 0.0), ratio)
-            if ratio > best_val:
-                best_val = ratio
-                best_pair = (p, k)
-    running = []
-    cur = 0.0
-    for order in range(P + 1):
-        cur = max(cur, per_order.get(order, 0.0))
-        running.append(cur)
-    increments = [running[0]] + [running[i] - running[i - 1] for i in range(1, len(running))]
-    return GTypeReport(value=best_val, argmax=best_pair, running_max=running, increments=increments)
-
+    if P != int(P) or P < 0:
+        raise DomainError(f"max order must be a nonnegative integer, got {P!r}")
+    orders, log_norms = _log_gtype_norms(a, int(P))
+    # log of A^{|n|} prod_j n_j^{(alpha/2) n_j}, 0^0 = 1
+    log_weight = (orders.sum(axis=1) * math.log(params.scale)
+                  + params.alpha / 2.0 * (orders * np.log(np.maximum(orders, 1))).sum(axis=1))
+    log_ratio = log_norms - log_weight[:, None] - log_weight[None, :]
+    per_order = np.full(int(P) + 1, -math.inf)
+    shell = orders.sum(axis=1)
+    np.maximum.at(per_order, np.maximum.outer(shell, shell).ravel(), log_ratio.ravel())
+    pi, ki = divmod(int(np.argmax(log_ratio)), len(orders))  # the first maximum, graded-lex
+    return GTypeReport(argmax=(tuple(orders[pi].tolist()), tuple(orders[ki].tolist())),
+                       log_value=float(log_ratio[pi, ki]),
+                       log_running_max=tuple(np.maximum.accumulate(per_order).tolist()))

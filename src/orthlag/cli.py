@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--truncation", choices=("total", "box"), default="total")
     p.add_argument("--nodes", type=int, default=None, help="rule size (default degree + 16)")
-    p.add_argument("--force-nodes", action="store_true",
-                   help="allow a rule smaller than degree + 1")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synthesize", help="evaluate a coefficient file at points")
@@ -127,15 +125,9 @@ def cmd_analyze(args) -> int:
         if args.dim not in (None, a.dim):
             raise DomainError(f"--dim {args.dim} does not match the dimension {a.dim} of {args.coeffs_in}")
         f = as_scalar_field(a)
-    K = args.nodes if args.nodes is not None else default_rule_size(args.degree)
-    if K < args.degree + 1 and not args.force_nodes:
-        raise DomainError(
-            f"{K} nodes cannot resolve degree {args.degree} (need >= degree + 1;"
-            " pass --force-nodes to override)"
-        )
-    rule = gauss_laguerre_rule(K)
-    a = analyze(f, args.degree, rule, kind=args.truncation)
-    write_coefficients(a, args.out)
+    # a rule too small for the degree is analyze's domain error
+    rule = gauss_laguerre_rule(default_rule_size(args.degree) if args.nodes is None else args.nodes)
+    write_coefficients(analyze(f, args.degree, rule, kind=args.truncation), args.out)
     return EXIT_OK
 
 

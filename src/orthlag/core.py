@@ -1,5 +1,5 @@
-"""Stable evaluation of Laguerre polynomials and Laguerre functions on the
-half-line, plus multi-index utilities for tensor products on the orthant.
+"""Stable evaluation of the Laguerre functions on the half-line, plus
+multi-index utilities for tensor products on the orthant.
 
 The Laguerre functions l_j(x) = L_j(x) e^{-x/2} are evaluated by running the
 classical three-term recurrence directly on the exponentially damped sequence
@@ -100,26 +100,8 @@ def exp_or_inf(log_value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laguerre polynomials and functions
+# Laguerre functions
 # ---------------------------------------------------------------------------
-
-def laguerre_poly_eval(j: int, x: float) -> float:
-    """L_j(x) by the three-term recurrence.
-
-    (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1},  L_0 = 1,  L_1 = 1-x.
-    """
-    if j != int(j) or j < 0:
-        raise DomainError(f"polynomial degree must be a nonnegative integer, got {j!r}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x!r}")
-    j = int(j)
-    prev, cur = 1.0, 1.0 - x
-    if j == 0:
-        return prev
-    for k in range(1, j):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
 
 def laguerre_fn_sweep(max_degree: int, x) -> np.ndarray:
     """Values l_0(x), ..., l_max(x) at the points x.
@@ -216,15 +198,3 @@ def laguerre_fn_eval(n: Sequence[int], x: Sequence[float]) -> float:
         val *= laguerre_fn_sweep(nj, xj)[nj, 0]
     return val
 
-
-def laguerre_fn_derivatives(n: Sequence[int], x: Sequence[float]) -> list[tuple[float, float, float]]:
-    """Per-axis (l_{n_j}(x_j), l_{n_j}'(x_j), l_{n_j}''(x_j))."""
-    n = validate_multi_index(n)
-    pt = validate_point(x)
-    if len(n) != pt.size:
-        raise DomainError(f"dimension mismatch: index has {len(n)} entries, point has {pt.size}")
-    out = []
-    for nj, xj in zip(n, pt):
-        l, dl, ddl = laguerre_fn_derivative_sweep(nj, xj)
-        out.append((l[nj, 0], dl[nj, 0], ddl[nj, 0]))
-    return out

@@ -2,8 +2,8 @@
 
 Every built-in is separable: a product over axes of P_j(x_j) e^{-s_j x_j}
 with polynomial P_j and rate s_j > 0.  Differentiation stays in the class
-(D(P e^{-sx}) = (P' - sP) e^{-sx}), which supplies exact mixed partials of
-any order for the derivative-based seminorms.
+(D(P e^{-sx}) = (P' - sP) e^{-sx}), which supplies the exact per-axis first
+and second derivatives that the pointwise form of the operator uses.
 
 Registry names accepted by the CLI:
   exp-decay            e^{-sum x_j}
@@ -12,6 +12,8 @@ Registry names accepted by the CLI:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -22,7 +24,8 @@ from .transform import ScalarField
 
 
 def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
-    """Field prod_j P_j(x_j) e^{-s_j x_j} with exact partials of every order.
+    """Field prod_j P_j(x_j) e^{-s_j x_j} with exact per-axis first and
+    second derivatives.
 
     `axis_coeffs` is a list of ascending polynomial coefficient arrays, one
     per axis; `rates` the per-axis exponential rates.
@@ -41,17 +44,14 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
         # coefficients of d/dx (P e^{-sx}) / e^{-sx} = P' - sP
         return npoly.polysub(npoly.polyder(coeffs), s * coeffs)
 
-    # cache of per-axis derivative coefficient arrays, extended on demand
-    deriv_cache = [[c] for c in axis_coeffs]
-
-    def axis_deriv_coeffs(j, order):
-        cache = deriv_cache[j]
-        while len(cache) <= order:
-            cache.append(d_coeffs(cache[-1], rates[j]))
-        return cache[order]
+    # per axis, the polynomial factors of the value and the first two derivatives
+    axis_derivs = []
+    for c, s in zip(axis_coeffs, rates):
+        d1 = d_coeffs(c, s)
+        axis_derivs.append((c, d1, d_coeffs(d1, s)))
 
     def axis_value(j, order, xj):
-        return float(npoly.polyval(xj, axis_deriv_coeffs(j, order)) * np.exp(-rates[j] * xj))
+        return float(npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj))
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
@@ -62,30 +62,12 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
-        vals = [axis_value(j, 0, x[j]) for j in range(dim)]
-        d1s = [axis_value(j, 1, x[j]) for j in range(dim)]
-        d2s = [axis_value(j, 2, x[j]) for j in range(dim)]
+        vals, d1s, d2s = ([axis_value(j, order, x[j]) for j in range(dim)] for order in range(3))
         total = float(np.prod(vals))
-        out = []
-        for j in range(dim):
-            rest = 1.0
-            for i in range(dim):
-                if i != j:
-                    rest *= vals[i]
-            out.append((total, d1s[j] * rest, d2s[j] * rest))
-        return out
+        rests = [math.prod(vals[:j] + vals[j + 1:]) for j in range(dim)]
+        return [(total, d1 * rest, d2 * rest) for d1, d2, rest in zip(d1s, d2s, rests)]
 
-    def partial(p, x):
-        p = validate_multi_index(p)
-        if len(p) != dim:
-            raise DomainError(f"derivative order {p} does not match dimension {dim}")
-        x = np.asarray(x, dtype=float)
-        val = 1.0
-        for j in range(dim):
-            val *= axis_value(j, p[j], x[j])
-        return val
-
-    return ScalarField(dim=dim, evaluator=evaluator, deriv=deriv, partial=partial)
+    return ScalarField(dim=dim, evaluator=evaluator, deriv=deriv)
 
 
 def exp_decay_field(dim: int) -> ScalarField:

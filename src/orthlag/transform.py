@@ -32,15 +32,12 @@ class ScalarField:
     """Evaluable function on the closed orthant.
 
     `deriv`, when present, maps a point to the list of per-axis triples
-    (f(x), df/dx_j, d2f/dx_j2).  `partial`, when present, maps a multi-index p
-    and a point to the mixed partial derivative of order p (used by the
-    derivative-based seminorms).
+    (f(x), df/dx_j, d2f/dx_j2).
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], float]
     deriv: Callable[[np.ndarray], list[tuple[float, float, float]]] | None = None
-    partial: Callable[[tuple[int, ...], np.ndarray], float] | None = None
 
     def __call__(self, x) -> float:
         return float(self.evaluator(np.asarray(x, dtype=float)))

@@ -20,6 +20,7 @@ from orthlag.analysis import (
     classify_membership,
     estimate_decay_params,
     eta_seminorm,
+    gtype_seminorm,
     norm_equivalence_gap,
     weighted_seq_norm,
 )
@@ -210,3 +211,22 @@ def test_criterion_11_verify_determinism():
     second = format_report(run_suite("all"))
     ok = first == second and "FAIL" not in first
     report(11, "verification report identical across runs", ok)
+
+
+def test_criterion_12_gtype_transition_at_the_critical_index():
+    # l_1 is in every Pilipovic space, but the G-type spaces are trivial
+    # below alpha = 1: there the seminorm grows without bound in P, while at
+    # alpha = 1 and 1.5 it is reached at low order and stays put
+    l1 = CoefficientField(1, "total", 1, {(1,): 1.0})
+    orders = (4, 8, 16, 24, 100)
+    below = [gtype_seminorm(l1, SpaceParams(0.5, 1.0), P).log_running_max[-1] for P in orders]
+    ok = all(math.isfinite(v) for v in below) and all(x < y for x, y in zip(below, below[1:]))
+    for alpha, value in ((1.0, 1.871), (1.5, 1.732)):
+        reps = [gtype_seminorm(l1, SpaceParams(alpha, 1.0), P) for P in orders]
+        top = [rep.log_running_max[-1] for rep in reps]
+        ok = ok and max(top) - min(top) <= 1e-12
+        ok = ok and reps[0].value == pytest.approx(value, abs=5e-4)
+    for alpha in (0.5, 1.0, 1.5):
+        ok = ok and not eta_seminorm(l1, SpaceParams(alpha, 1.0), 60).growing
+    report(12, f"l_1 G-type log seminorm at alpha=0.5 grows {below[0]:.3f} -> {below[-1]:.1f}"
+               " over P <= 100; constant at alpha = 1, 1.5", ok)

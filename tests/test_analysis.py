@@ -1,9 +1,14 @@
+import functools
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.laguerre import lag2poly
 
 from orthlag.analysis import (
     DEFAULT_FIT_FLOOR,
@@ -13,6 +18,7 @@ from orthlag.analysis import (
     VERDICT_FINITELY_SUPPORTED,
     VERDICT_NOT_MEMBER,
     VERDICT_ROUMIEU,
+    _log_gtype_norms,
     classify_membership,
     estimate_decay_params,
     eta_seminorm,
@@ -24,8 +30,9 @@ from orthlag.analysis import (
     weighted_seq_norm,
 )
 from orthlag.core import DomainError, truncation_index
-from orthlag.fields import exp_decay_field, laguerre_field
-from orthlag.transform import CoefficientField
+from orthlag.fields import exp_decay_field, field_by_name, laguerre_field
+from orthlag.quadrature import gauss_laguerre_rule, integrate_orthant
+from orthlag.transform import CoefficientField, analyze
 
 
 def shell_sequence(rate_fn, degree, dim=1):
@@ -316,56 +323,180 @@ class TestEtaSeminorm:
         assert eta_seminorm(poly, params(1.0), 40).growing
 
 
+def reference_field_spec(name, dim):
+    """(per-axis ascending polynomial coefficients, per-axis rates) of the
+    built-in fields `l:<idx>` and `poly-exp:<coeffs>`, as in `fields`."""
+    if name.startswith("l:"):
+        coeffs = [lag2poly(np.eye(n + 1)[n]) for n in map(int, name[2:].split(","))]
+    else:
+        coeffs = [[float(c) for c in name[len("poly-exp:"):].split(",")]] * dim
+    return coeffs, [0.5] * len(coeffs)
+
+
+def reference_partial(axis_coeffs, rates):
+    """The mixed partial D^p f of f = prod_j P_j(x_j) e^{-s_j x_j}, as the
+    built-in fields once supplied it, with its per-axis derivative cache.
+    Values are memoized per (p, x), since one field is measured at several
+    alpha; x is a tuple."""
+    deriv_cache = [[np.asarray(c, dtype=float)] for c in axis_coeffs]
+
+    def axis_value(j, order, xj):
+        cache = deriv_cache[j]
+        while len(cache) <= order:
+            # d/dx (P e^{-sx}) / e^{-sx} = P' - sP
+            cache.append(npoly.polysub(npoly.polyder(cache[-1]), rates[j] * cache[-1]))
+        return float(npoly.polyval(xj, cache[order]) * np.exp(-rates[j] * xj))
+
+    @functools.cache
+    def partial(p, x):
+        val = 1.0
+        for j in range(len(rates)):
+            val *= axis_value(j, p[j], x[j])
+        return val
+
+    return partial
+
+
+def reference_gtype_seminorm(partial, dim, params, P=6, rule=None):
+    """The former quadrature path of `gtype_seminorm`, kept as the reference:
+    each ||x^{(p+k)/2} D^p f||^2 by a tensor Gauss-Laguerre rule over the
+    pointwise partials.  Returns (argmax, log ratio per (p, k), log running
+    maximum per order), with the same first-maximum rule."""
+    rule = rule or gauss_laguerre_rule(128)
+    log_A = math.log(params.scale)
+    half_alpha = params.alpha / 2.0
+
+    def log_weighted_power(idx):
+        # log of prod_j idx_j^{(alpha/2) idx_j}, 0^0 = 1
+        return half_alpha * sum(v * math.log(v) for v in idx if v > 0)
+
+    p_list = k_list = list(map(tuple, truncation_index("total", dim, P).tolist()))
+    best_val = -math.inf
+    best_pair = (p_list[0], k_list[0])
+    per_order, log_ratios = {}, {}
+    for p in p_list:
+        for k in k_list:
+            def integrand(x, _p=p, _k=k):
+                mono = 1.0
+                for xj, pj, kj in zip(x, _p, _k):
+                    mono *= xj ** (pj + kj)
+                dval = partial(_p, tuple(x.tolist()))
+                return mono * dval * dval
+
+            sq = max(integrate_orthant(integrand, rule, dim), 0.0)
+            log_num = 0.5 * math.log(sq) if sq > 0 else -math.inf
+            log_den = (sum(p) + sum(k)) * log_A + log_weighted_power(k) + log_weighted_power(p)
+            log_ratios[p, k] = ratio = log_num - log_den
+            order = max(sum(p), sum(k))
+            per_order[order] = max(per_order.get(order, -math.inf), ratio)
+            if ratio > best_val:
+                best_val = ratio
+                best_pair = (p, k)
+    running = list(itertools.accumulate((per_order.get(m, -math.inf) for m in range(P + 1)), max))
+    return best_pair, log_ratios, running
+
+
 class TestGTypeSeminorm:
     def test_ground_state_base_term(self):
-        f = laguerre_field((0,))
-        rep = gtype_seminorm(f, SpaceParams(1.0, 1.0), P=2)
+        a = analyze(laguerre_field((0,)), 20, gauss_laguerre_rule(36))
+        rep = gtype_seminorm(a, SpaceParams(1.0, 1.0), P=2)
         # p = k = 0 ratio is ||e^{-x/2}||_{L2} = 1
-        assert rep.running_max[0] == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(rep.log_running_max[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_first_moment_term(self):
         # p=0, k=1: ||x^{1/2} e^{-x/2}|| = 1 since Gamma(2) = 1
-        f = laguerre_field((0,))
-        rep = gtype_seminorm(f, SpaceParams(1.0, 1.0), P=1)
+        a = analyze(laguerre_field((0,)), 20, gauss_laguerre_rule(36))
+        rep = gtype_seminorm(a, SpaceParams(1.0, 1.0), P=1)
         assert rep.value == pytest.approx(1.0, rel=1e-10)
 
     def test_derivative_term_value(self):
         # p=1, k=0: ||(1/2) e^{-x/2}|| = 1/2, below the k=1 term
-        f = laguerre_field((0,))
-        rep = gtype_seminorm(f, SpaceParams(1.0, 1.0), P=1)
+        a = analyze(laguerre_field((0,)), 20, gauss_laguerre_rule(36))
+        rep = gtype_seminorm(a, SpaceParams(1.0, 1.0), P=1)
         assert rep.argmax in (((0,), (1,)), ((0,), (0,)))
 
     def test_stabilizes_for_smooth_members(self):
-        f = exp_decay_field(1)
-        rep = gtype_seminorm(f, SpaceParams(1.0, 1.0), P=5)
-        assert rep.increments[-1] == 0.0
+        # ||x^{k/2} D^p e^{-x}|| = (k!/2^{k+1})^{1/2}: the maximum 1/sqrt(2) is at p = k = 0
+        a = analyze(exp_decay_field(1), 60, gauss_laguerre_rule(96))
+        rep = gtype_seminorm(a, SpaceParams(1.0, 1.0), P=5)
+        assert rep.log_running_max[-1] == rep.log_running_max[-2]
+        assert rep.value == pytest.approx(1 / math.sqrt(2), rel=1e-14)
 
-    def test_requires_partials(self):
-        from orthlag.transform import ScalarField
+    def test_ground_state_norms_match_the_closed_form(self):
+        # D^p l_0 = (-1/2)^p l_0, so ||x^{(p+k)/2} D^p l_0|| = 2^{-p} sqrt((p+k)!)
+        orders, log_norms = _log_gtype_norms(CoefficientField(1, "total", 0, {(0,): 1.0}), 60)
+        p, k = orders[:, 0][:, None], orders[:, 0][None, :]
+        want = -p * math.log(2) + 0.5 * np.vectorize(math.lgamma)(p + k + 1)
+        np.testing.assert_allclose(log_norms, want, rtol=1e-12, atol=0)
 
-        f = ScalarField(1, lambda x: math.exp(-x[0]))
+    @pytest.mark.parametrize("name,dim,kind,P,K", [
+        ("l:1", 1, "total", 8, 128),
+        ("poly-exp:1,0.5,-0.3", 1, "total", 8, 128),
+        # 16 nodes integrate x^{p_j+k_j} P_j^2 exactly while p_j + k_j + 2 deg P_j <= 31
+        ("l:2,1", 2, "box", 3, 16),
+        ("poly-exp:1,-0.5", 2, "box", 3, 16),
+        # d = 3 takes the lex walk through every head; 8 nodes are exact here
+        ("l:1,2,1", 3, "box", 2, 8),
+    ])
+    def test_matches_the_quadrature_reference(self, name, dim, kind, P, K):
+        a = analyze(field_by_name(name, dim), 4, gauss_laguerre_rule(20), kind=kind)
+        partial = reference_partial(*reference_field_spec(name, dim))
+        for alpha in (0.5, 1.0, 1.5):
+            params = SpaceParams(alpha, 1.0)
+            rep = gtype_seminorm(a, params, P)
+            argmax, log_ratios, log_running = reference_gtype_seminorm(
+                partial, dim, params, P, gauss_laguerre_rule(K))
+            # the logs to 1e-12 relative, or absolute near log 1 = 0 (the value to 1e-12 relative)
+            np.testing.assert_allclose(rep.log_running_max, log_running, rtol=1e-12, atol=1e-12)
+            top, runner_up = sorted(log_ratios.values())[:-3:-1]
+            if top - runner_up > 1e-12:
+                assert rep.argmax == argmax
+
+    def test_large_orders_stay_finite_in_log_form(self):
+        # at P = 200 the largest norm of l_1 is about e^865, beyond binary64
+        l1 = CoefficientField(1, "total", 1, {(1,): 1.0})
+        assert _log_gtype_norms(l1, 200)[1].max() > math.log(sys.float_info.max)
+        rep = gtype_seminorm(l1, SpaceParams(0.5, 1.0), P=200)
+        assert rep.log_value == pytest.approx(334.786, abs=1e-3)
+        assert rep.value == pytest.approx(math.exp(rep.log_value), rel=1e-15)
+        assert all(math.isfinite(v) for v in rep.log_running_max)
+
+    def test_zero_field_is_zero(self):
+        rep = gtype_seminorm(CoefficientField(2, "total", 3), SpaceParams(1.0, 1.0), P=2)
+        assert rep.log_value == -math.inf and rep.value == 0.0
+        assert rep.argmax == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("entries,P", [({(2**40,): 1.0}, 2), ({(3, 2): 1.0}, 2**10)])
+    def test_a_box_beyond_the_cap_is_a_domain_error(self, entries, P):
+        n = next(iter(entries))
+        a = CoefficientField(len(n), "box", max(n), entries)
+        tracemalloc.start()
+        with pytest.raises(DomainError, match="above the cap"):
+            gtype_seminorm(a, SpaceParams(1.0, 1.0), P)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("P", [-1, 2.5])
+    def test_rejects_a_bad_order(self, P):
         with pytest.raises(DomainError):
-            gtype_seminorm(f, SpaceParams(1.0, 1.0))
+            gtype_seminorm(CoefficientField(1, "total", 0, {(0,): 1.0}), SpaceParams(1.0, 1.0), P)
 
 
 class TestCrossConsistency:
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("name", ["l0", "exp-decay"])
     def test_derivative_seminorm_finite_iff_member(self, alpha, name):
-        # bounded derivative seminorm with vanishing increments should agree
-        # with coefficient-decay membership for these smooth members
-        from orthlag.quadrature import gauss_laguerre_rule
-        from orthlag.transform import analyze
-
+        # a finite derivative seminorm whose running maximum has saturated
+        # should agree with coefficient-decay membership for these smooth members
         f = laguerre_field((0,)) if name == "l0" else exp_decay_field(1)
-        rep = gtype_seminorm(f, SpaceParams(alpha, 1.0), P=5)
-        assert math.isfinite(rep.value)
-        assert rep.increments[-1] == 0.0
-
         a = analyze(f, 60, gauss_laguerre_rule(96))
+        rep = gtype_seminorm(a, SpaceParams(alpha, 1.0), P=5)
+        assert math.isfinite(rep.value)
+        assert rep.log_running_max[-1] == rep.log_running_max[-2]
+
         # drop quadrature noise so the coefficient support is honest
         a = CoefficientField(a.dim, a.truncation_kind, a.degree,
                              {n: v for n, v in a.entries.items() if abs(v) > 1e-12})
         member = classify_membership(a, alpha)
         assert member.is_member
-

@@ -80,6 +80,15 @@ class TestAnalyze:
         assert code == 2
         assert "domain error" in err
 
+    def test_undersized_rule_has_one_check(self, tmp_path, capsys):
+        # the library's check is the only one, and its message names the bound
+        code, _, err = run(
+            capsys, "analyze", "--fn", "exp-decay", "--degree", "20",
+            "--nodes", "10", "--out", str(tmp_path / "a.txt"),
+        )
+        assert code == 2 and err.count("\n") == 1 and ">= 21" in err
+        assert not (tmp_path / "a.txt").exists()
+
     def test_coefficient_file_dimension_must_match_dim(self, tmp_path, capsys):
         coeffs = tmp_path / "a.txt"
         run(capsys, "analyze", "--fn", "exp-decay", "--dim", "2", "--degree", "3",
@@ -289,7 +298,9 @@ class TestExitCodes:
         assert run(capsys, "quad")[0] == 1
 
     @pytest.mark.parametrize("argv", [("verify", "--threads", "2"),
-                                      ("quad", "--nodes", "4", "--dim", "2")])
+                                      ("quad", "--nodes", "4", "--dim", "2"),
+                                      ("analyze", "--fn", "exp-decay", "--degree", "20",
+                                       "--nodes", "10", "--out", "unused.txt", "--force-nodes")])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "unrecognized arguments" in err

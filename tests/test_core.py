@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.laguerre import lagval
 
 from orthlag.core import (
     DomainError,
     index_order,
     laguerre_fn_derivative_sweep,
-    laguerre_fn_derivatives,
     laguerre_fn_eval,
     laguerre_fn_log_christoffel,
     laguerre_fn_sweep,
-    laguerre_poly_eval,
     truncation_index,
     truncation_shell_counts,
     validate_multi_index,
@@ -20,23 +19,25 @@ from orthlag.core import (
 
 
 class TestLaguerrePolyEval:
+    """The polynomial factor L_j(x) = l_j(x) e^{x/2} of the damped evaluator."""
+
     def test_degree_zero_is_one(self):
-        assert laguerre_poly_eval(0, 7.3) == 1.0
+        assert laguerre_fn_eval((0,), (7.3,)) * math.exp(7.3 / 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_degree_one(self):
-        assert laguerre_poly_eval(1, 2.0) == -1.0
+        assert laguerre_fn_eval((1,), (2.0,)) * math.exp(1.0) == pytest.approx(-1.0, rel=1e-15)
 
     def test_degree_two(self):
         # L_2(x) = (x^2 - 4x + 2)/2
-        assert laguerre_poly_eval(2, 1.0) == pytest.approx(-0.5, abs=1e-15)
+        assert laguerre_fn_eval((2,), (1.0,)) * math.exp(0.5) == pytest.approx(-0.5, abs=1e-15)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
-            laguerre_poly_eval(3, -0.1)
+            laguerre_fn_eval((3,), (-0.1,))
 
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):
-            laguerre_poly_eval(-1, 1.0)
+            laguerre_fn_eval((-1,), (1.0,))
 
 
 class TestLaguerreFnEval:
@@ -60,24 +61,24 @@ class TestLaguerreFnEval:
     def test_matches_polynomial_times_damping(self):
         for j in range(12):
             for x in (0.3, 1.7, 9.0):
-                expected = laguerre_poly_eval(j, x) * math.exp(-x / 2)
+                expected = lagval(x, np.eye(j + 1)[j]) * math.exp(-x / 2)
                 assert laguerre_fn_eval((j,), (x,)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDerivatives:
     def test_ground_state_first_derivative(self):
-        (_, d1, _), = laguerre_fn_derivatives((0,), (2.0,))
-        assert d1 == pytest.approx(-0.5 * math.exp(-1.0), rel=1e-14)
+        _, dl, _ = laguerre_fn_derivative_sweep(0, 2.0)
+        assert dl[0, 0] == pytest.approx(-0.5 * math.exp(-1.0), rel=1e-14)
 
     def test_first_excited_at_boundary(self):
         # l_1 = (1-x) e^{-x/2}: value 1, derivative -3/2 at x = 0
-        (val, d1, _), = laguerre_fn_derivatives((1,), (0.0,))
-        assert val == pytest.approx(1.0, abs=1e-15)
-        assert d1 == pytest.approx(-1.5, abs=1e-15)
+        l, dl, _ = laguerre_fn_derivative_sweep(1, 0.0)
+        assert l[1, 0] == pytest.approx(1.0, abs=1e-15)
+        assert dl[1, 0] == pytest.approx(-1.5, abs=1e-15)
 
     def test_ground_state_second_derivative(self):
-        (_, _, d2), = laguerre_fn_derivatives((0,), (4.0,))
-        assert d2 == pytest.approx(0.25 * math.exp(-2.0), rel=1e-14)
+        _, _, ddl = laguerre_fn_derivative_sweep(0, 4.0)
+        assert ddl[0, 0] == pytest.approx(0.25 * math.exp(-2.0), rel=1e-14)
 
     def test_against_central_differences(self):
         xs = np.array([0.7, 3.1, 11.0])
@@ -90,10 +91,6 @@ class TestDerivatives:
                 mid = laguerre_fn_eval((j,), (x,))
                 assert dl[j, i] == pytest.approx((up - dn) / (2 * h), abs=1e-6)
                 assert ddl[j, i] == pytest.approx((up - 2 * mid + dn) / h**2, abs=1e-4)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            laguerre_fn_derivatives((1,), (1.0, 2.0))
 
 
 class TestRecurrenceInvariants:

@@ -26,27 +26,20 @@ from .core import DomainError, exp_or_inf, index_order, truncation_index, trunca
 from .operators import log_iterate_norm, log_shell_weighted_norm
 from .transform import CoefficientField
 
-ROUMIEU = "union"
-BEURLING = "intersection"
-
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Identifies a target space: smoothness index alpha, scale (h for
-    sequence/operator-iterate norms, A for derivative-based seminorms), and
-    union (Roumieu) vs intersection (Beurling) quantification."""
+    """Identifies a target space: smoothness index alpha and scale (h for
+    sequence/operator-iterate norms, A for derivative-based seminorms)."""
 
     alpha: float
     scale: float
-    kind: str = ROUMIEU
 
     def __post_init__(self):
         if not 0 <= self.alpha < math.inf:
             raise DomainError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not 0 < self.scale < math.inf:
             raise DomainError(f"scale must be finite and positive, got {self.scale}")
-        if self.kind not in (ROUMIEU, BEURLING):
-            raise DomainError(f"kind must be {ROUMIEU!r} or {BEURLING!r}")
 
 
 def log_theta_weight(order: int, params: SpaceParams) -> float:

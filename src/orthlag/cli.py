@@ -15,16 +15,18 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_FIT_FLOOR,
     SpaceParams,
     classify_membership,
     eta_seminorm,
     log_weighted_seq_norm,
 )
-from .core import DomainError, exp_or_inf
+from .core import TRUNCATION_KINDS, DomainError, exp_or_inf
 from .fields import field_by_name
 from .operators import apply_E_spectral, semigroup_propagate
 from .quadrature import default_rule_size, gauss_laguerre_rule
 from .transform import analyze, as_scalar_field, read_coefficients, synthesize, write_coefficients
+from .verify import SUITES, format_report, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fn", help="built-in field name (exp-decay, l:<idx>, poly-exp:<coeffs>)")
     src.add_argument("--coeffs", dest="coeffs_in", help="coefficient file defining the input field")
     p.add_argument("--dim", type=int, default=None,
-                   help="dimension (default 1 for --fn, the file's for --coeffs)")
+                   help="dimension (default: the l:<idx> length, else 1; the file's for --coeffs)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--truncation", choices=("total", "box"), default="total")
+    p.add_argument("--truncation", choices=TRUNCATION_KINDS, default="total")
     p.add_argument("--nodes", type=int, default=None, help="rule size (default degree + 16)")
     p.add_argument("--out", required=True)
 
@@ -91,11 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="coefficient-decay membership report")
     p.add_argument("--in", dest="coeffs_in", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--floor", type=float, default=1e-280)
+    p.add_argument("--floor", type=float, default=DEFAULT_FIT_FLOOR)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--suite", default="all",
-                   choices=("all", "core", "quadrature", "transform", "operator", "analysis"))
+    p.add_argument("--suite", default="all", choices=("all", *SUITES))
 
     return parser
 
@@ -119,7 +120,7 @@ def cmd_quad(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.fn is not None:
-        f = field_by_name(args.fn, 1 if args.dim is None else args.dim)
+        f = field_by_name(args.fn, args.dim)
     else:
         a = read_coefficients(args.coeffs_in)
         if args.dim not in (None, a.dim):
@@ -210,8 +211,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import format_report, run_suite
-
     results = run_suite(args.suite)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY

@@ -1,10 +1,9 @@
 """Stable evaluation of the Laguerre functions on the half-line, plus
 multi-index utilities for tensor products on the orthant.
 
-The Laguerre functions l_j(x) = L_j(x) e^{-x/2} are evaluated by running the
-classical three-term recurrence directly on the exponentially damped sequence
-(the common factor e^{-x/2} commutes with the recurrence), so bare-polynomial
-overflow at large x never occurs.
+The Laguerre functions l_j(x) = L_j(x) e^{-x/2} come from one three-term
+recurrence, run on the damped sequence where e^{-x/2} is a normal binary64
+number and on rescaled bare polynomials elsewhere, so it holds for every x >= 0.
 """
 
 from __future__ import annotations
@@ -103,52 +102,56 @@ def exp_or_inf(log_value: float) -> float:
 # Laguerre functions
 # ---------------------------------------------------------------------------
 
-def laguerre_fn_sweep(max_degree: int, x) -> np.ndarray:
-    """Values l_0(x), ..., l_max(x) at the points x.
-
-    Returns an array of shape (max_degree+1, len(x)).  The recurrence runs on
-    the damped functions, so values stay bounded for arbitrarily large x.
-    """
+def _laguerre_rows(max_degree: int, x, damped: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One run of the three-term recurrence: rows (max_degree+1, len(x)) and a per-point log
+    scale g, l_j(x) = rows[j] e^g (None stands for g = 0).  With `damped`, points whose e^{-x/2}
+    is normal start from it (g = 0).  The others run on the bare polynomials over 2^shift
+    (g = shift log 2 - x/2): as |L_j(x)| <= e^{x/2} (Szegő 7.21) and <= (1+x)^j, a start of
+    2^-shift keeps them below 2^332 < 1e100 where it is normal; elsewhere they start from 1,
+    and a row passing 1e100 has its point's rows divided by a power of two, exactly."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0):
-        raise DomainError("arguments must be nonnegative")
-    out = np.empty((max_degree + 1, x.size))
-    out[0] = np.exp(-x / 2.0)
-    if max_degree >= 1:
-        out[1] = (1.0 - x) * out[0]
-    for j in range(1, max_degree):
-        out[j + 1] = ((2 * j + 1 - x) * out[j] - j * out[j - 1]) / (j + 1)
-    return out
+    if not (x.min(initial=0.0) >= 0 and (top := x.max(initial=0.0)) < math.inf):  # NaN fails too
+        raise DomainError("arguments must be finite and nonnegative")
+    rows = np.empty((max_degree + 1, x.size))
+    g = -x / 2.0
+    rows[0] = np.exp(g) if damped else 0.0
+    far = check = top > 1416.0 or not damped  # e^{-x/2} is a normal number up to x ~ 1416.79
+    if far:
+        bare = rows[0] < 2.2250738585072014e-308
+        shift = np.ceil(np.minimum(x / 2.0, max_degree * np.log1p(x)) / math.log(2.0)) - 332.0
+        check = shift.max(initial=0.0) > 1022.0
+        shift = np.where(shift > 1022.0, 0.0, shift.clip(0.0))
+        rows[0, bare] = np.ldexp(1.0, -shift[bare].astype(np.int64))
+    for j in range(max_degree):
+        rows[j + 1] = ((2 * j + 1 - x) * rows[j] - j * rows[j - 1]) / (j + 1) if j else (1.0 - x) * rows[0]
+        # one step multiplies by at most x + 3j + 1: a row under 1e100 cannot overflow in it
+        # below x ~ 1e208, and beyond, each row is ~x/j times the last, so rescaled at once
+        if check and (over := np.abs(rows[j + 1]) > 1e100).any():
+            over = np.flatnonzero(over)
+            e = np.frexp(rows[j + 1, over])[1]
+            rows[: j + 2, over] = np.ldexp(rows[: j + 2, over], -e)
+            shift[over] += e
+    ln2_hi, ln2_lo = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # shift * ln2_hi is exact
+    return rows, np.where(bare, (shift * ln2_hi + g) + shift * ln2_lo, 0.0) if far else None
+
+
+def laguerre_fn_sweep(max_degree: int, x) -> np.ndarray:
+    """Values l_0(x), ..., l_max(x) at the points x >= 0, shape (max_degree+1, len(x)); far out,
+    rows e^g is (rows e^{g/2}) e^{g/2}, so e^g does not underflow alone; values below binary64 are 0."""
+    rows, g = _laguerre_rows(max_degree, x, damped=True)
+    if g is not None:
+        far = np.flatnonzero(g)
+        half = np.exp(g[far] / 2.0)
+        rows[:, far] = rows[:, far] * half * half
+    return rows
 
 
 def laguerre_fn_log_christoffel(K: int, x) -> np.ndarray:
-    """log sum_{j<K} l_j(x)^2, the log of the inverse Christoffel function.
-
-    The plain damped sweep starts from e^{-x/2}, which underflows binary64
-    beyond x ~ 1400; here the bare-polynomial recurrence runs on a rescaled
-    sequence with the exponent accumulated separately, so the result is valid
-    for any x >= 0.  The squares are summed on the same scale, hence the
-    rescaling threshold 1e100 keeps the sum inside binary64.
-    """
+    """log sum_{j<K} l_j(x)^2, the log inverse Christoffel function, from the bare polynomials: any x >= 0."""
     if K != int(K) or K < 1:
         raise DomainError(f"number of terms must be a positive integer, got {K!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0):
-        raise DomainError("arguments must be nonnegative")
-    g = -x / 2.0
-    u_prev, u = np.zeros_like(x), np.ones_like(x)
-    S = np.ones_like(x)
-    for j in range(int(K) - 1):
-        u_prev, u = u, ((2 * j + 1 - x) * u - j * u_prev) / (j + 1)
-        S = S + u * u
-        mag = np.maximum(np.abs(u), np.abs(u_prev))
-        if np.any(mag > 1e100):
-            scale = np.where(mag > 1e100, mag, 1.0)
-            u = u / scale
-            u_prev = u_prev / scale
-            S = S / (scale * scale)
-            g = g + np.log(scale)
-    return np.log(S) + 2.0 * g
+    rows, g = _laguerre_rows(int(K) - 1, x, damped=False)
+    return np.log(np.sum(np.square(rows, out=rows), axis=0)) + 2.0 * g
 
 
 def laguerre_fn_derivative_sweep(max_degree: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ and second derivatives that the pointwise form of the operator uses.
 
 Registry names accepted by the CLI:
   exp-decay            e^{-sum x_j}
-  l:<i1,...,id>        a single Laguerre function l_n
+  l:<i1,...,id>        a single Laguerre function l_n, every i_j <= 23
   poly-exp:<c0,c1,..>  per-axis polynomial (ascending coeffs) times e^{-x_j/2}
 """
 
@@ -75,15 +75,17 @@ def exp_decay_field(dim: int) -> ScalarField:
     return separable_poly_exp_field([[1.0]] * dim, [1.0] * dim)
 
 
+# lag2poly cancels digits as n grows: `analyze` of l_n recovers the unit
+# vector within 1e-6 up to n = 23 (4.0e-7), and misses by 3.8e-6 at n = 24
+MAX_LAGUERRE_FIELD_INDEX = 23
+
+
 def laguerre_field(n) -> ScalarField:
-    """A single Laguerre function l_n as a polynomial-times-exponential field."""
+    """l_n as a polynomial-times-exponential field; entries of n up to MAX_LAGUERRE_FIELD_INDEX."""
     n = validate_multi_index(n)
-    coeffs = []
-    for nj in n:
-        basis = np.zeros(nj + 1)
-        basis[nj] = 1.0
-        coeffs.append(lag2poly(basis))
-    return separable_poly_exp_field(coeffs, [0.5] * len(n))
+    if max(n) > MAX_LAGUERRE_FIELD_INDEX:
+        raise DomainError(f"l:<n> entries must be <= {MAX_LAGUERRE_FIELD_INDEX}, got {n}")
+    return separable_poly_exp_field([lag2poly(np.eye(nj + 1)[nj]) for nj in n], [0.5] * len(n))
 
 
 def poly_exp_field(coeffs, dim: int = 1) -> ScalarField:
@@ -92,15 +94,17 @@ def poly_exp_field(coeffs, dim: int = 1) -> ScalarField:
     return separable_poly_exp_field([coeffs] * dim, [0.5] * dim)
 
 
-def field_by_name(name: str, dim: int = 1) -> ScalarField:
-    """Resolve a registry name (see module docstring) to a field."""
-    if name == "exp-decay":
-        return exp_decay_field(dim)
+def field_by_name(name: str, dim: int | None = None) -> ScalarField:
+    """Resolve a registry name (see module docstring) to a field of dimension
+    `dim`: by default the index length for l:<idx> and 1 for the others."""
     if name.startswith("l:"):
         idx = tuple(int(v) for v in name[2:].split(","))
-        if dim not in (1, len(idx)):
+        if dim not in (None, len(idx)):
             raise DomainError(f"index {idx} does not match dimension {dim}")
         return laguerre_field(idx)
+    dim = 1 if dim is None else dim
+    if name == "exp-decay":
+        return exp_decay_field(dim)
     if name.startswith("poly-exp:"):
         coeffs = [float(v) for v in name[len("poly-exp:"):].split(",")]
         if not coeffs:

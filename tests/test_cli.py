@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orthlag.cli import main
+from orthlag.cli import build_parser, main
 from orthlag.core import DomainError
 from orthlag.transform import read_coefficients, write_coefficients
 from orthlag.transform import CoefficientField
@@ -26,6 +26,9 @@ def run(capsys, *argv):
 
 def geometric_coefficient(n: int) -> float:
     return (2.0 / 3.0) * (1.0 / 3.0) ** n
+
+
+UNIT_400 = "dim: 1\ntruncation_kind: total\ntruncation_degree: 400\n400,1.0\n"
 
 
 class TestQuad:
@@ -102,6 +105,45 @@ class TestAnalyze:
             assert code == 0 and err == ""
             assert read_coefficients(tmp_path / "b.txt").dim == 2
 
+    @pytest.mark.parametrize("degree", [23, 400])
+    def test_laguerre_field_at_its_largest_index(self, tmp_path, capsys, degree):
+        path = tmp_path / "a.txt"
+        code, _, err = run(capsys, "analyze", "--fn", "l:23", "--degree", str(degree), "--out", str(path))
+        assert code == 0 and err == ""
+        want = np.zeros(degree + 1)
+        want[23] = 1.0
+        assert np.max(np.abs(read_coefficients(path).values - want)) <= 1e-6
+
+    def test_laguerre_field_beyond_its_largest_index_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        code, _, err = run(capsys, "analyze", "--fn", "l:2,24", "--degree", "30", "--out", str(path))
+        assert code == 2 and err.count("\n") == 1 and "<= 23" in err
+        assert not path.exists()
+
+    def test_laguerre_field_dimension_comes_from_its_index(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        argv = ["analyze", "--fn", "l:3,4", "--degree", "8", "--out", str(path)]
+        for dim_flag in (["--dim", "1"], ["--dim", "3"]):
+            code, _, err = run(capsys, *argv, *dim_flag)
+            assert code == 2 and err.count("\n") == 1 and "does not match dimension" in err
+            assert not path.exists()
+        for dim_flag in ([], ["--dim", "2"]):
+            code, _, err = run(capsys, *argv, *dim_flag)
+            assert code == 0 and err == ""
+            a = read_coefficients(path)
+            assert a.dim == 2 and a.get((3, 4)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_coefficients_with_rule_nodes_beyond_the_damped_range(self, tmp_path, capsys):
+        # the 416-node rule of degree 400 has 10 nodes beyond x ~ 1416.8, where
+        # e^{-x/2} is subnormal; with the damped start alone a_400 read 0.834
+        src, out = tmp_path / "unit.txt", tmp_path / "a.txt"
+        src.write_text(UNIT_400)
+        code, _, err = run(capsys, "analyze", "--coeffs", str(src), "--degree", "400", "--out", str(out))
+        assert code == 0 and err == ""
+        want = np.zeros(401)
+        want[400] = 1.0
+        assert np.max(np.abs(read_coefficients(out).values - want)) <= 1e-12
+
     def test_deterministic_across_runs(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a1.txt", tmp_path / "a2.txt"
         for path in (p1, p2):
@@ -127,6 +169,16 @@ class TestSynthesize:
         for line, x in zip(lines[1:], xs):
             val = float(line.split(",")[1])
             assert val == pytest.approx(math.exp(-x), abs=1e-8)
+
+    def test_values_beyond_the_damped_range(self, tmp_path, capsys):
+        # l_400 at 1500 and 1550, where the damped start alone printed 0.0
+        src, pts, out = tmp_path / "unit.txt", tmp_path / "pts.csv", tmp_path / "v.csv"
+        src.write_text(UNIT_400)
+        pts.write_text("1500\n1550\n")
+        code, _, err = run(capsys, "synthesize", "--in", str(src), "--points", str(pts), "--out", str(out))
+        assert code == 0 and err == ""
+        values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        np.testing.assert_allclose(values, [-0.004093266747983549, -0.03308315232315771], rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_is_domain_error(self, tmp_path, capsys):
         coeffs = tmp_path / "a.txt"
@@ -304,6 +356,15 @@ class TestExitCodes:
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "unrecognized arguments" in err
+
+    def test_choices_and_defaults(self):
+        parser = build_parser()
+        for suite in ("all", "core", "quadrature", "transform", "operator", "analysis"):
+            assert parser.parse_args(["verify", "--suite", suite]).suite == suite
+        for kind in ("total", "box"):
+            argv = ["analyze", "--fn", "exp-decay", "--degree", "2", "--out", "o", "--truncation", kind]
+            assert parser.parse_args(argv).truncation == kind
+        assert parser.parse_args(["classify", "--in", "a", "--alpha", "1"]).floor == 1e-280
 
     def test_bad_node_count_is_domain(self, capsys):
         assert run(capsys, "quad", "--nodes", "0")[0] == 2

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -215,3 +217,125 @@ def test_truncation_index_matches_the_recursive_generators(kind, dim):
         got = truncation_index(kind, dim, degree)
         assert got.dtype == np.int64 and got.shape == (len(want), dim)
         assert [tuple(n) for n in got.tolist()] == want
+
+
+# ---------------------------------------------------------------------------
+# the one recurrence kernel against the two loops it replaced and mpmath
+# ---------------------------------------------------------------------------
+
+def reference_damped_sweep(max_degree, x):
+    """The former laguerre_fn_sweep: the recurrence on the damped sequence,
+    started from e^{-x/2}, which is subnormal beyond x ~ 1416.8."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((max_degree + 1, x.size))
+    out[0] = np.exp(-x / 2.0)
+    if max_degree >= 1:
+        out[1] = (1.0 - x) * out[0]
+    for j in range(1, max_degree):
+        out[j + 1] = ((2 * j + 1 - x) * out[j] - j * out[j - 1]) / (j + 1)
+    return out
+
+
+def reference_log_christoffel(K, x):
+    """The former laguerre_fn_log_christoffel: the bare recurrence, divided by
+    its magnitude whenever that passes 1e100, with the squares summed on the go."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = -x / 2.0
+    u_prev, u = np.zeros_like(x), np.ones_like(x)
+    S = np.ones_like(x)
+    for j in range(K - 1):
+        u_prev, u = u, ((2 * j + 1 - x) * u - j * u_prev) / (j + 1)
+        S = S + u * u
+        mag = np.maximum(np.abs(u), np.abs(u_prev))
+        if np.any(mag > 1e100):
+            scale = np.where(mag > 1e100, mag, 1.0)
+            u = u / scale
+            u_prev = u_prev / scale
+            S = S / (scale * scale)
+            g = g + np.log(scale)
+    return np.log(S) + 2.0 * g
+
+
+def mp_laguerre_fns(max_degree, x, dps):
+    """l_0(x), ..., l_max(x) as mpmath numbers with `dps` digits."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        bare = [mpmath.mpf(1), 1 - x]
+        for j in range(1, max_degree):
+            bare.append(((2 * j + 1 - x) * bare[j] - j * bare[j - 1]) / (j + 1))
+        damp = mpmath.exp(-x / 2)
+        return [v * damp for v in bare[: max_degree + 1]]
+
+
+class TestOneRecurrence:
+    # beyond x ~ 1416.8 the damped start is subnormal, and the former sweep
+    # missed by 5.9e-2, 5.8e-2, 1.3e-2 and 7.0e-6 at the first four points
+    @pytest.mark.parametrize("x", [1500.0, 1550.0, 1622.0, 1700.0, 3000.0])
+    def test_sweep_matches_60_digit_values_beyond_the_damped_range(self, x):
+        want = np.array([float(v) for v in mp_laguerre_fns(400, x, 60)])
+        got = laguerre_fn_sweep(400, x)[:, 0]
+        assert np.max(np.abs(got - want)) <= 1e-14
+        if x < 2000.0:
+            assert np.max(np.abs(reference_damped_sweep(400, x)[:, 0] - want)) > 1e-6
+
+    def test_tiny_values_keep_their_relative_accuracy(self):
+        # at x = 3850 the log scale of the rows is below -745, so e^g alone
+        # underflows, while eleven of the l_j are normal binary64 numbers
+        want = np.array([float(v) for v in mp_laguerre_fns(400, 3850.0, 60)])
+        got = laguerre_fn_sweep(400, 3850.0)[:, 0]
+        normal = np.abs(want) > 1e-300
+        assert normal.sum() == 11
+        assert np.max(np.abs(got[normal] - want[normal]) / np.abs(want[normal])) <= 1e-13
+
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 60, 400])
+    def test_sweep_below_1400_is_the_former_sweep_bit_for_bit(self, max_degree):
+        x = np.concatenate([[0.0, 1e-300, 1399.99], np.random.default_rng(7).uniform(0, 1400, 500)])
+        got = laguerre_fn_sweep(max_degree, x)
+        assert got.tobytes() == reference_damped_sweep(max_degree, x).tobytes()
+
+    def test_mixed_call_keeps_the_damped_points_and_mends_the_rest(self):
+        x = np.array([3.0, 1500.0, 900.0, 1622.0])
+        got = laguerre_fn_sweep(400, x)
+        near = [0, 2]
+        assert got[:, near].tobytes() == reference_damped_sweep(400, x[near]).tobytes()
+        for k in (1, 3):
+            want = np.array([float(v) for v in mp_laguerre_fns(400, x[k], 60)])
+            assert np.max(np.abs(got[:, k] - want)) <= 1e-14
+
+    @pytest.mark.parametrize("x", [1e4, 1e6, 1e9, 1e250, 1.7e308])
+    def test_huge_arguments_stay_finite_without_warnings(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = laguerre_fn_sweep(400, np.array([x, 2.0]))
+            log_christoffel = laguerre_fn_log_christoffel(416, np.array([x]))
+        assert np.isfinite(values).all() and np.isfinite(log_christoffel).all()
+        assert values[:, 1].tobytes() == reference_damped_sweep(400, 2.0)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_are_domain_errors(self, bad):
+        x = np.array([1.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            laguerre_fn_sweep(5, x)
+        with pytest.raises(DomainError, match="finite"):
+            laguerre_fn_log_christoffel(5, x)
+
+    # the former loop was within 4.8e-14 at K = 416, but missed by 2.8e-13 at
+    # K = 512, x = 2500, where its log scale had taken several roundings
+    @pytest.mark.parametrize("K,xs", [(416, [0.3, 5.0, 50.0, 300.0, 800.0, 1200.0, 1500.0, 1622.0]),
+                                      (512, [2000.0, 2500.0])])
+    def test_log_christoffel_matches_50_digit_values(self, K, xs):
+        got = laguerre_fn_log_christoffel(K, np.array(xs))
+        for x, value in zip(xs, got):
+            with mpmath.workdps(50):
+                want = mpmath.log(mpmath.fsum(v * v for v in mp_laguerre_fns(K - 1, x, 50)))
+            assert abs(value - float(want)) <= 6e-14
+
+    def test_log_christoffel_where_every_term_underflows(self):
+        # l_j(1300)^2 < 1e-560 for every j < 30
+        assert laguerre_fn_log_christoffel(30, 1300.0)[0] == pytest.approx(-1027.9698891989121, abs=1e-10)
+
+    @pytest.mark.parametrize("K", [1, 2, 26, 300, 416, 512])
+    def test_log_christoffel_matches_the_former_loop(self, K):
+        x = np.concatenate([np.linspace(0.0, 2500.0, 51), [1e4]])
+        got, want = laguerre_fn_log_christoffel(K, x), reference_log_christoffel(K, x)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13

@@ -9,6 +9,7 @@ number and on rescaled bare polynomials elsewhere, so it holds for every x >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,18 @@ def validate_point(x: Sequence[float]) -> np.ndarray:
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"coordinates must be finite and nonnegative, got {x!r}")
     return arr
+
+
+def _validate_points(points, dim: int) -> np.ndarray:
+    """Validate points on the closed orthant: an (npts, dim) array (one 1-D point is one row)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DomainError(f"points have dimension {pts.shape[-1]}, expected {dim}")
+    if not (pts.min(initial=0.0) >= 0 and pts.max(initial=0.0) < math.inf):  # NaN fails too
+        if not np.isfinite(pts).all():
+            raise DomainError("point coordinates must be finite")
+        raise DomainError("points must lie in the closed orthant")
+    return pts
 
 
 TRUNCATION_KINDS = ("total", "box")
@@ -109,6 +122,8 @@ def _laguerre_rows(max_degree: int, x, damped: bool) -> tuple[np.ndarray, np.nda
     (g = shift log 2 - x/2): as |L_j(x)| <= e^{x/2} (Szegő 7.21) and <= (1+x)^j, a start of
     2^-shift keeps them below 2^332 < 1e100 where it is normal; elsewhere they start from 1,
     and a row passing 1e100 has its point's rows divided by a power of two, exactly."""
+    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
+        raise DomainError(f"degree must be a nonnegative integer, got {max_degree!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (x.min(initial=0.0) >= 0 and (top := x.max(initial=0.0)) < math.inf):  # NaN fails too
         raise DomainError("arguments must be finite and nonnegative")
@@ -154,40 +169,17 @@ def laguerre_fn_log_christoffel(K: int, x) -> np.ndarray:
     return np.log(np.sum(np.square(rows, out=rows), axis=0)) + 2.0 * g
 
 
+def _derivative_rows(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(l, l', l'') from the rows l_0..l_max (degree along axis 0): L_j' = -sum_{k<j} L_k
+    (Szegő 5.1) gives l_j' = l_j/2 - sum_{k<=j} l_k, and once more, l_j'' = l_j'/2 - sum_{k<=j} l_k'."""
+    dl = l / 2.0 - np.cumsum(l, axis=0)
+    return l, dl, dl / 2.0 - np.cumsum(dl, axis=0)
+
+
 def laguerre_fn_derivative_sweep(max_degree: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, first and second derivatives of l_0..l_max at the points x.
-
-    Differentiating the three-term recurrence once and twice gives companion
-    recurrences for L_j' and L_j'' that are run on the damped sequences
-    L_j' e^{-x/2} and L_j'' e^{-x/2}:
-
-        (j+1) L'_{j+1}  = (2j+1-x) L'_j  - L_j    - j L'_{j-1}
-        (j+1) L''_{j+1} = (2j+1-x) L''_j - 2 L'_j - j L''_{j-1}
-
-    This avoids the x -> 0 degeneracy of the identity x L_j' = j(L_j - L_{j-1})
-    and is exact at the boundary.  Derivatives of l_j follow from the product
-    rule:  l' = (L' - L/2) e^{-x/2},  l'' = (L'' - L' + L/4) e^{-x/2}.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0):
-        raise DomainError("arguments must be nonnegative")
-    npts = x.size
-    v = np.empty((max_degree + 1, npts))   # L_j  e^{-x/2}
-    dv = np.zeros((max_degree + 1, npts))  # L_j' e^{-x/2}
-    ddv = np.zeros((max_degree + 1, npts))  # L_j'' e^{-x/2}
-    v[0] = np.exp(-x / 2.0)
-    if max_degree >= 1:
-        v[1] = (1.0 - x) * v[0]
-        dv[1] = -v[0]
-    for j in range(1, max_degree):
-        c = 2 * j + 1 - x
-        v[j + 1] = (c * v[j] - j * v[j - 1]) / (j + 1)
-        dv[j + 1] = (c * dv[j] - v[j] - j * dv[j - 1]) / (j + 1)
-        ddv[j + 1] = (c * ddv[j] - 2 * dv[j] - j * ddv[j - 1]) / (j + 1)
-    l = v
-    dl = dv - v / 2.0
-    ddl = ddv - dv + v / 4.0
-    return l, dl, ddl
+    """Values, first and second derivatives of l_0..l_max at the points x, each of shape
+    (max_degree+1, len(x)), from the values of `laguerre_fn_sweep` alone: right for every x >= 0."""
+    return _derivative_rows(laguerre_fn_sweep(max_degree, x))
 
 
 def laguerre_fn_eval(n: Sequence[int], x: Sequence[float]) -> float:

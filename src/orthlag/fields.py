@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.laguerre import lag2poly
 
-from .core import DomainError, validate_multi_index
+from .core import DomainError, _validate_points, validate_multi_index
 from .transform import ScalarField
 
 
@@ -51,19 +51,19 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
         axis_derivs.append((c, d1, d_coeffs(d1, s)))
 
     def axis_value(j, order, xj):
-        return float(npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj))
+        return npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj)
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         val = 1.0
         for j in range(dim):
-            val *= axis_value(j, 0, x[j])
+            val *= float(axis_value(j, 0, x[j]))
         return val
 
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        vals, d1s, d2s = ([axis_value(j, order, x[j]) for j in range(dim)] for order in range(3))
-        total = float(np.prod(vals))
+    def deriv(points):
+        pts = _validate_points(points, dim)
+        vals, d1s, d2s = ([axis_value(j, order, pts[:, j]) for j in range(dim)] for order in range(3))
+        total = math.prod(vals)
         rests = [math.prod(vals[:j] + vals[j + 1:]) for j in range(dim)]
         return [(total, d1 * rest, d2 * rest) for d1, d2, rest in zip(d1s, d2s, rests)]
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, exp_or_inf, validate_point
+from .core import DomainError, _validate_points, exp_or_inf
 from .transform import CoefficientField, ScalarField
 
 
@@ -109,17 +109,14 @@ def log_iterate_norm(a: CoefficientField, N: int) -> float:
     return log_shell_weighted_norm(a, log_powers, 2)
 
 
-def apply_E_pointwise(f: ScalarField, x) -> float:
-    """Apply the differential operator at a point, using the field's
+def apply_E_pointwise(f: ScalarField, points) -> np.ndarray:
+    """Apply the differential operator at each of the (npts, d) points and
+    return the npts values; one call of the field's `deriv` supplies the
     analytic per-axis first and second derivatives."""
     if f.deriv is None:
         raise DomainError("field does not supply a derivative evaluator")
-    pt = validate_point(x)
-    if pt.size != f.dim:
-        raise DomainError(f"point has dimension {pt.size}, expected {f.dim}")
-    triples = f.deriv(pt)
-    total = 0.0
-    for j, (val, d1, d2) in enumerate(triples):
-        xj = pt[j]
+    pts = _validate_points(points, f.dim)
+    total = np.zeros(pts.shape[0])
+    for xj, (val, d1, d2) in zip(pts.T, f.deriv(pts)):
         total += xj * d2 + d1 - (xj / 4.0) * val + 0.5 * val
     return -total

@@ -18,11 +18,11 @@ import numpy as np
 from .core import (
     TRUNCATION_KINDS,
     DomainError,
-    laguerre_fn_derivative_sweep,
+    _derivative_rows,
+    _validate_points,
     laguerre_fn_sweep,
     truncation_index,
     validate_multi_index,
-    validate_point,
 )
 from .quadrature import QuadratureRule, _node_grid_values
 
@@ -31,13 +31,14 @@ from .quadrature import QuadratureRule, _node_grid_values
 class ScalarField:
     """Evaluable function on the closed orthant.
 
-    `deriv`, when present, maps a point to the list of per-axis triples
-    (f(x), df/dx_j, d2f/dx_j2).
+    `evaluator` maps one point to f(x).  `deriv`, when present, maps an
+    (npts, d) array of points to one triple (f, df/dx_j, d2f/dx_j2) of
+    npts-arrays per axis j.
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], float]
-    deriv: Callable[[np.ndarray], list[tuple[float, float, float]]] | None = None
+    deriv: Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None = None
 
     def __call__(self, x) -> float:
         return float(self.evaluator(np.asarray(x, dtype=float)))
@@ -215,66 +216,72 @@ def analyze(
     return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
 
 
-def synthesize(a: CoefficientField, points) -> np.ndarray:
-    """Evaluate the truncated series sum_n a_n l_n at each point.
+def _sweep_blocks(a: CoefficientField, pts: np.ndarray, width: int = 1):
+    """The point blocks in which `synthesize` and `as_scalar_field(a).deriv`
+    gather the terms: yields (first point, sweeps), where sweeps[j] holds
+    l_0..l_{max n_j} at x_j for the points of the block, as a
+    (max n_j + 1, points) view.
 
-    Each term's factors l_{n_j}(x_j) are gathered from the per-axis sweeps by
-    the columns of `index`, multiplied over the axes and summed against
-    `values`.  The sweeps are built for blocks of about 2^20 / (max n_j + 1)
-    points, and within a block the terms are gathered for blocks of points
-    that hold at most about 2^16 values (one point when there are more terms),
-    so memory is bounded whatever the number of points.
+    The sweeps are built for blocks of about 2^20 / (max n_j + 1) points, and
+    cut into gather blocks whose `width` gathered arrays per axis hold at most
+    about 2^16 values together (one point when there are more terms), so
+    memory is bounded whatever the number of points.  A field without terms
+    has no blocks.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != a.dim:
-        raise DomainError(f"points have dimension {pts.shape[1]}, expected {a.dim}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("point coordinates must be finite")
-    if np.any(pts < 0):
-        raise DomainError("points must lie in the closed orthant")
     if a.values.size == 0:
-        return np.zeros(pts.shape[0])
+        return
     degs = a.index.max(axis=0).tolist()
-    inner = max(1, 2**16 // a.values.size)
+    inner = max(1, 2**16 // (width * a.values.size))
     outer = max(1, 2**20 // (max(degs) + 1))
     outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
-    out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], outer):
-        chunk, chunk_out = pts[start:start + outer], out[start:start + outer]
+        chunk = pts[start:start + outer]
         sweeps = [laguerre_fn_sweep(m, chunk[:, j]) for j, m in enumerate(degs)]
         for lo in range(0, chunk.shape[0], inner):
-            cols = slice(lo, lo + inner)
-            terms = sweeps[0][:, cols].take(a.index[:, 0], axis=0)  # (terms, points)
-            for j in range(1, a.dim):
-                terms *= sweeps[j][:, cols].take(a.index[:, j], axis=0)
-            chunk_out[cols] = a.values @ terms
+            yield start + lo, [sweep[:, lo:lo + inner] for sweep in sweeps]
+
+
+def synthesize(a: CoefficientField, points) -> np.ndarray:
+    """Evaluate the truncated series sum_n a_n l_n at each of the (npts, d) points.
+
+    Each term's factors l_{n_j}(x_j) are gathered from the per-axis sweeps of
+    `_sweep_blocks` by the columns of `index`, multiplied over the axes and
+    summed against `values`.
+    """
+    pts = _validate_points(points, a.dim)
+    out = np.zeros(pts.shape[0])
+    for lo, sweeps in _sweep_blocks(a, pts):
+        terms = sweeps[0].take(a.index[:, 0], axis=0)  # (terms, points)
+        for j in range(1, a.dim):
+            terms *= sweeps[j].take(a.index[:, j], axis=0)
+        out[lo:lo + terms.shape[1]] = a.values @ terms
     return out
 
 
 def as_scalar_field(a: CoefficientField) -> ScalarField:
     """Wrap a coefficient field as an evaluable function with exact
     per-axis first and second derivatives (differentiated termwise)."""
-    degs = a.index.max(axis=0, initial=0)
 
     def evaluator(x):
         return float(synthesize(a, np.asarray(x, dtype=float)[None, :])[0])
 
-    def deriv(x):
-        pt = validate_point(x)
-        if pt.size != a.dim:
-            raise DomainError(f"point has dimension {pt.size}, expected {a.dim}")
-        # row j holds l_{n_j}(x_j) (and its derivatives) for every term n
-        vals, d1s, d2s = (np.empty((a.dim, a.values.size)) for _ in range(3))
-        for j in range(a.dim):
-            sweeps = laguerre_fn_derivative_sweep(int(degs[j]), pt[j])
-            for row, sweep in zip((vals, d1s, d2s), sweeps):
-                row[j] = sweep[a.index[:, j], 0]
-        val = float(a.values @ vals.prod(axis=0))
-        out = []
-        for j in range(a.dim):
-            rest = a.values * np.delete(vals, j, axis=0).prod(axis=0)
-            out.append((val, float(rest @ d1s[j]), float(rest @ d2s[j])))
-        return out
+    def deriv(points):
+        # the factor of axis j is differentiated, the others multiply as values
+        pts = _validate_points(points, a.dim)
+        value = np.zeros(pts.shape[0])
+        first, second = np.zeros((2, a.dim, pts.shape[0]))
+        for lo, sweeps in _sweep_blocks(a, pts, width=3):
+            # l, l' and l'' of each axis, gathered for every term
+            factors = [[r.take(a.index[:, j], axis=0) for r in _derivative_rows(sweep)]
+                       for j, sweep in enumerate(sweeps)]
+            rows = slice(lo, lo + sweeps[0].shape[1])
+            vals = [v for v, _, _ in factors]
+            value[rows] = a.values @ math.prod(vals)
+            for j, (_, d1, d2) in enumerate(factors):
+                rest = math.prod(vals[:j] + vals[j + 1:])
+                first[j, rows] = a.values @ (rest * d1)
+                second[j, rows] = a.values @ (rest * d2)
+        return [(value, first[j], second[j]) for j in range(a.dim)]
 
     return ScalarField(dim=a.dim, evaluator=evaluator, deriv=deriv)
 

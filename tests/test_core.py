@@ -339,3 +339,86 @@ class TestOneRecurrence:
         x = np.concatenate([np.linspace(0.0, 2500.0, 51), [1e4]])
         got, want = laguerre_fn_log_christoffel(K, x), reference_log_christoffel(K, x)
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the derivatives from the values of the one sweep, against the former loop
+# and mpmath
+# ---------------------------------------------------------------------------
+
+def reference_derivative_sweep(max_degree, x):
+    """The former laguerre_fn_derivative_sweep: the recurrence and its two
+    differentiated companions, run on the damped sequences from e^{-x/2},
+    so it holds below x ~ 1416.8 only."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.empty((max_degree + 1, x.size))   # L_j  e^{-x/2}
+    dv = np.zeros((max_degree + 1, x.size))  # L_j' e^{-x/2}
+    ddv = np.zeros((max_degree + 1, x.size))  # L_j'' e^{-x/2}
+    v[0] = np.exp(-x / 2.0)
+    if max_degree >= 1:
+        v[1] = (1.0 - x) * v[0]
+        dv[1] = -v[0]
+    for j in range(1, max_degree):
+        c = 2 * j + 1 - x
+        v[j + 1] = (c * v[j] - j * v[j - 1]) / (j + 1)
+        dv[j + 1] = (c * dv[j] - v[j] - j * dv[j - 1]) / (j + 1)
+        ddv[j + 1] = (c * ddv[j] - 2 * dv[j] - j * ddv[j - 1]) / (j + 1)
+    return v, dv - v / 2.0, ddv - dv + v / 4.0
+
+
+def mp_laguerre_fn_derivatives(max_degree, x, dps):
+    """(l, l', l'') of l_0..l_max at x > 0 as float arrays, computed with `dps`
+    digits from x L_n' = n (L_n - L_{n-1}) and the ODE x L_n'' = (x-1) L_n' - n L_n,
+    independently of the cumulative sums under test."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        L = [mpmath.mpf(1), 1 - x]
+        for j in range(1, max_degree):
+            L.append(((2 * j + 1 - x) * L[j] - j * L[j - 1]) / (j + 1))
+        L = L[: max_degree + 1]
+        d1 = [mpmath.mpf(0)] + [n * (L[n] - L[n - 1]) / x for n in range(1, max_degree + 1)]
+        d2 = [((x - 1) * d1[n] - n * L[n]) / x for n in range(max_degree + 1)]
+        damp = mpmath.exp(-x / 2)
+        rows = ([v * damp for v in L], [(b - a / 2) * damp for a, b in zip(L, d1)],
+                [(c - b + a / 4) * damp for a, b, c in zip(L, d1, d2)])
+        return [np.array([float(v) for v in row]) for row in rows]
+
+
+class TestOneDerivativePath:
+    # the worst case is l'' at degree 400, x = 0.5: 2.0e-13 of max_j |l_j''| = 105
+    @pytest.mark.parametrize("x", [0.5, 50.0, 300.0, 1500.0, 1622.0])
+    @pytest.mark.parametrize("max_degree", [40, 400])
+    def test_derivatives_match_60_digit_values(self, max_degree, x):
+        want = mp_laguerre_fn_derivatives(max_degree, x, 60)
+        got = [rows[:, 0] for rows in laguerre_fn_derivative_sweep(max_degree, x)]
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-14
+        for g, w in zip(got[1:], want[1:]):
+            assert np.max(np.abs(g - w)) <= 5e-13 * max(1.0, np.max(np.abs(w)))
+
+    def test_derivatives_beyond_the_damped_range(self):
+        # the former loop missed by 5.9e-2, 5.2e-3 and 6.1e-4 here
+        want = mp_laguerre_fn_derivatives(400, 1500.0, 60)
+        got = laguerre_fn_derivative_sweep(400, 1500.0)
+        for g, former, w in zip(got, reference_derivative_sweep(400, 1500.0), want):
+            assert np.max(np.abs(g[:, 0] - w)) <= 7e-16
+            assert np.max(np.abs(former[:, 0] - w)) > 1e-4
+
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 60, 400])
+    def test_derivatives_match_the_former_loop_below_1400(self, max_degree):
+        x = np.concatenate([[0.0, 1e-300, 1399.99], np.random.default_rng(7).uniform(0, 1400, 500)])
+        for got, want in zip(laguerre_fn_derivative_sweep(max_degree, x), reference_derivative_sweep(max_degree, x)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want).max(axis=0))) <= 5e-13
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 3.0, math.nan, "3"])
+    def test_bad_degree_is_a_domain_error(self, bad):
+        for sweep in (laguerre_fn_sweep, laguerre_fn_derivative_sweep):
+            with pytest.raises(DomainError, match="degree must be a nonnegative integer"):
+                sweep(bad, np.array([1.0]))
+
+    def test_numpy_integer_degrees_are_accepted(self):
+        x = np.array([0.5, 3.0, 1500.0])
+        for deg in (np.int64(7), np.int32(7)):
+            assert laguerre_fn_sweep(deg, x).tobytes() == laguerre_fn_sweep(7, x).tobytes()
+            for got, want in zip(laguerre_fn_derivative_sweep(deg, x), laguerre_fn_derivative_sweep(7, x)):
+                assert got.tobytes() == want.tobytes()

@@ -33,30 +33,38 @@ def random_field(rng, dim, degree):
 class TestPointwise:
     def test_annihilates_ground_state(self):
         f = laguerre_field((0,))
-        for x in (0.0, 0.5, 3.0, 20.0):
-            assert apply_E_pointwise(f, [x]) == pytest.approx(0.0, abs=1e-10)
+        got = apply_E_pointwise(f, [[0.0], [0.5], [3.0], [20.0]])
+        assert got.shape == (4,)
+        assert got == pytest.approx(np.zeros(4), abs=1e-10)
 
     def test_first_eigenfunction(self):
         f = laguerre_field((1,))
         expected = (1 - 2.0) * math.exp(-1.0)  # 1 * l_1(2)
-        assert apply_E_pointwise(f, [2.0]) == pytest.approx(expected, rel=1e-12)
+        assert apply_E_pointwise(f, [[2.0]])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_exp_decay_by_symbolic_differentiation(self):
         # f = e^{-x}: -(x f'' + f' - (x/4) f + f/2) = e^{-x}(1/2 - 3x/4)
         f = exp_decay_field(1)
-        assert apply_E_pointwise(f, [1.0]) == pytest.approx(-math.exp(-1.0) / 4, rel=1e-12)
+        assert apply_E_pointwise(f, [[1.0]])[0] == pytest.approx(-math.exp(-1.0) / 4, rel=1e-12)
 
     def test_requires_derivatives(self):
         f = ScalarField(1, lambda x: math.exp(-x[0]))
         with pytest.raises(DomainError):
-            apply_E_pointwise(f, [1.0])
+            apply_E_pointwise(f, [[1.0]])
 
     def test_multidimensional_eigenfunction(self):
         f = laguerre_field((2, 3))
         x = np.array([1.3, 0.7])
         from orthlag.core import laguerre_fn_eval
 
-        assert apply_E_pointwise(f, x) == pytest.approx(5 * laguerre_fn_eval((2, 3), x), rel=1e-11)
+        assert apply_E_pointwise(f, [x])[0] == pytest.approx(5 * laguerre_fn_eval((2, 3), x), rel=1e-11)
+
+    @pytest.mark.parametrize("bad", [[[1.0, math.nan]], [[1.0, -0.5]], [[1.0, 2.0, 3.0]], [[1.0]]],
+                             ids=["nan", "negative", "three-columns", "one-column"])
+    def test_bad_points_are_domain_errors(self, bad):
+        for f in (laguerre_field((2, 3)), as_scalar_field(unit_field((2, 3)))):
+            with pytest.raises(DomainError):
+                apply_E_pointwise(f, bad)
 
 
 class TestSpectral:
@@ -327,5 +335,4 @@ class TestSpectralPointwiseAgreement:
         ea = apply_E_spectral(a, 1)
         pts = rng.uniform(0.0, 15.0, size=(50, dim))
         spec = synthesize(ea, pts)
-        for i, x in enumerate(pts):
-            assert apply_E_pointwise(fa, x) == pytest.approx(spec[i], abs=1e-7)
+        assert apply_E_pointwise(fa, pts) == pytest.approx(spec, abs=1e-7)

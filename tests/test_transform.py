@@ -4,6 +4,8 @@ from itertools import product
 
 import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.laguerre import lag2poly
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from orthlag.core import (
     validate_multi_index,
 )
 from orthlag.fields import exp_decay_field, laguerre_field, separable_poly_exp_field
+from orthlag.operators import apply_E_pointwise
 from orthlag.quadrature import gauss_laguerre_rule
 from orthlag.transform import (
     CoefficientField,
@@ -219,15 +222,120 @@ def test_synthesize_matches_the_per_term_reference(case):
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def reference_point_deriv(a, x):
+    """The former one-point deriv of `as_scalar_field`, kept as the reference:
+    one derivative sweep per axis at x, gathered for every term at once."""
+    degs = a.index.max(axis=0, initial=0)
+    vals, d1s, d2s = (np.empty((a.dim, a.values.size)) for _ in range(3))
+    for j in range(a.dim):
+        sweeps = laguerre_fn_derivative_sweep(int(degs[j]), x[j])
+        for row, sweep in zip((vals, d1s, d2s), sweeps):
+            row[j] = sweep[a.index[:, j], 0]
+    val = float(a.values @ vals.prod(axis=0))
+    out = []
+    for j in range(a.dim):
+        rest = a.values * np.delete(vals, j, axis=0).prod(axis=0)
+        out.append((val, float(rest @ d1s[j]), float(rest @ d2s[j])))
+    return out
+
+
+def reference_apply_E_pointwise(triples, x):
+    """The former one-point `apply_E_pointwise` on the triples at x."""
+    total = 0.0
+    for j, (val, d1, d2) in enumerate(triples):
+        xj = x[j]
+        total += xj * d2 + d1 - (xj / 4.0) * val + 0.5 * val
+    return -total
+
+
+def deriv_points(rng, dim):
+    pts = rng.uniform(0.0, 20.0, size=(20, dim))
+    pts[:2] = 0.0  # the orthant corner and a face
+    pts[2, 0] = 0.0
+    return pts
+
+
 @pytest.mark.parametrize("case", sorted(SYNTH_CASES))
 def test_deriv_matches_the_per_term_reference(case):
     rng = np.random.default_rng(100 + sorted(SYNTH_CASES).index(case))
     a = SYNTH_CASES[case](rng)
-    deriv = as_scalar_field(a).deriv
-    for x in rng.uniform(0.0, 20.0, size=(20, a.dim)):
+    pts = rng.uniform(0.0, 20.0, size=(20, a.dim))
+    got = np.stack([np.column_stack(t) for t in as_scalar_field(a).deriv(pts)], axis=1)  # (points, axes, 3)
+    for x, row in zip(pts, got):
         want = np.array(reference_deriv(a, x))
-        got = np.array(deriv(x))
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+def test_batched_deriv_and_operator_match_one_point_calls(case):
+    rng = np.random.default_rng(200 + sorted(SYNTH_CASES).index(case))
+    a = SYNTH_CASES[case](rng)
+    pts = deriv_points(rng, a.dim)
+    fa = as_scalar_field(a)
+    got = np.stack([np.column_stack(t) for t in fa.deriv(pts)], axis=1)
+    want = np.array([reference_point_deriv(a, x) for x in pts])
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = np.array([reference_apply_E_pointwise(triples, x) for triples, x in zip(want, pts)])
+    assert np.linalg.norm(apply_E_pointwise(fa, pts) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def reference_separable_deriv(axis_coeffs, rates, x):
+    """The former one-point deriv of `separable_poly_exp_field`, kept as the
+    reference: per-axis triples of floats at the point x."""
+    polys = []
+    for c, s in zip(axis_coeffs, rates):
+        c = np.asarray(c, dtype=float)
+        d1 = npoly.polysub(npoly.polyder(c), s * c)
+        polys.append((c, d1, npoly.polysub(npoly.polyder(d1), s * d1)))
+    vals, d1s, d2s = ([float(npoly.polyval(xj, p[order]) * np.exp(-s * xj)) for p, s, xj in zip(polys, rates, x)]
+                      for order in range(3))
+    total = float(np.prod(vals))
+    rests = [math.prod(vals[:j] + vals[j + 1:]) for j in range(len(x))]
+    return [(total, d1 * rest, d2 * rest) for d1, d2, rest in zip(d1s, d2s, rests)]
+
+
+@pytest.mark.parametrize("axis_coeffs,rates", [
+    ([[1.0]], [1.0]),
+    ([[1.0], [2.0, -1.0, 0.25]], [1.0, 0.5]),
+    ([lag2poly(np.eye(n + 1)[n]) for n in (4, 1, 2)], [0.5] * 3),
+], ids=["exp-decay-d1", "poly-exp-d2", "l-d3"])
+def test_batched_separable_field_matches_one_point_calls(axis_coeffs, rates):
+    f = separable_poly_exp_field(axis_coeffs, rates)
+    pts = np.random.default_rng(6).uniform(0.0, 20.0, size=(40, f.dim))
+    pts[0] = 0.0
+    got = np.stack([np.column_stack(t) for t in f.deriv(pts)], axis=1)  # (points, axes, 3)
+    want = np.array([reference_separable_deriv(axis_coeffs, rates, x) for x in pts])
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = np.array([reference_apply_E_pointwise(triples, x) for triples, x in zip(want, pts)])
+    assert np.linalg.norm(apply_E_pointwise(f, pts) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_deriv_of_a_field_without_terms_is_zero():
+    triples = as_scalar_field(CoefficientField(2, "total", 3, {})).deriv([[1.0, 2.0], [0.0, 0.0]])
+    assert len(triples) == 2 and all(np.array_equal(v, np.zeros(2)) for t in triples for v in t)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, math.nan, 0.0]], [[1.0, -1e-300, 0.0]], [[1.0, 2.0]], [[1.0, 2.0, 3.0, 4.0]]],
+                         ids=["nan", "negative", "two-columns", "four-columns"])
+def test_deriv_rejects_bad_points(bad):
+    with pytest.raises(DomainError):
+        as_scalar_field(sparse_d3_coefficients()).deriv(bad)
+
+
+def test_deriv_memory_is_bounded():
+    # d=3, degree 30 (5456 terms), 10k points: the per-axis value sweeps take
+    # 7.4 MiB; the derivative rows are taken one gather block at a time
+    rng = np.random.default_rng(8)
+    a = random_coefficients(rng, 3, 30)
+    pts = rng.uniform(0.0, 30.0, size=(10_000, 3))
+    deriv = as_scalar_field(a).deriv
+    tracemalloc.start()
+    try:
+        deriv(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def synthesize_peak(a, pts):

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .core import (
     DomainError,
-    laguerre_fn_eval,
+    exp_or_inf,
     truncation_index,
 )
 from .quadrature import QuadratureRule, gauss_laguerre_rule, integrate_orthant
@@ -23,7 +23,7 @@ from .transform import (
 from .operators import (
     apply_E_pointwise,
     apply_E_spectral,
-    iterate_norm,
+    log_iterate_norm,
     semigroup_propagate,
 )
 from .analysis import (
@@ -35,14 +35,13 @@ from .analysis import (
     estimate_decay_params,
     eta_seminorm,
     gtype_seminorm,
+    log_weighted_seq_norm,
     norm_equivalence_gap,
-    theta_weight,
-    weighted_seq_norm,
 )
 
 __all__ = [
     "DomainError",
-    "laguerre_fn_eval",
+    "exp_or_inf",
     "truncation_index",
     "QuadratureRule",
     "gauss_laguerre_rule",
@@ -57,14 +56,13 @@ __all__ = [
     "write_coefficients",
     "apply_E_spectral",
     "apply_E_pointwise",
-    "iterate_norm",
+    "log_iterate_norm",
     "semigroup_propagate",
     "SpaceParams",
     "DecayFit",
     "EtaResult",
     "MembershipReport",
-    "theta_weight",
-    "weighted_seq_norm",
+    "log_weighted_seq_norm",
     "norm_equivalence_gap",
     "estimate_decay_params",
     "classify_membership",

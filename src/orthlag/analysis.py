@@ -4,10 +4,12 @@ spaces on the orthant; every diagnostic takes a `CoefficientField`.
 
 Coefficients decaying like e^{-c |n|^t} with some positive rate c put a
 series in the union-type (Roumieu) class of their exponent t, and decay that
-beats every rate at t in the intersection-type (Beurling) class.  The
-diagnostics do not yet read the smoothness index alpha the same way:
+beats every rate at t in the intersection-type (Beurling) class.  All but
+`norms` read the smoothness index alpha the same way (`norms` moves to
+e^{h |n|^{1/alpha}} together with the benchmark's norm oracle):
   norms     weight |a_n| by theta_{h,alpha}(n) = e^{h |n|^{1/(2 alpha)}}
   classify  compares the decay exponent t fitted to shell maxima with 1/alpha
+  alpha_hat the level 1/t of the fitted decay exponent t
   eta       divides ||E^N f|| by h^N N!^alpha
   gtype     divides ||x^{(p+k)/2} D^p f|| by A^{|p|+|k|} k^{(alpha/2)k} p^{(alpha/2)p}
 """
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, exp_or_inf, index_order, truncation_index, truncation_shell_counts
+from .core import DomainError, _check_count, exp_or_inf, truncation_index, truncation_shell_counts
 from .operators import log_iterate_norm, log_shell_weighted_norm
 from .transform import CoefficientField
 
@@ -55,24 +57,14 @@ def log_theta_weight(order: int, params: SpaceParams) -> float:
         return math.inf
 
 
-def theta_weight(n, params: SpaceParams) -> float:
-    """e^{h |n|^{1/(2 alpha)}}; equals 1 at |n| = 0."""
-    return exp_or_inf(log_theta_weight(index_order(n), params))
-
-
 def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
-    """log of `weighted_seq_norm`; -inf when the norm is zero."""
+    """log of the l^p norm of {|a_n| theta_{h,alpha}(n)}, computed in log
+    space; -inf when the norm is zero, and `exp_or_inf` of it is the norm."""
     if not p >= 1:  # nan too
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
     shell_log_weights = np.array([log_theta_weight(m, params) for m in a._shells[0].tolist()], dtype=float)
     return log_shell_weighted_norm(a, shell_log_weights, p)
-
-
-def weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) -> float:
-    """l^p norm of {|a_n| theta_{h,alpha}(n)}, computed in log space; inf
-    where it exceeds binary64."""
-    return exp_or_inf(log_weighted_seq_norm(a, params, p))
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ class InsufficientSupportError(DomainError):
 class DecayFit:
     """Least-squares fit of |a_n| ~ C e^{-c |n|^t} on shell maxima.
 
-    `alpha_hat` = 1/(2t) is the sequence-space level whose weight exponent
-    matches the fitted decay exponent t = `exponent`."""
+    `alpha_hat` = 1/t is the level alpha whose target exponent 1/alpha (see
+    `classify_membership`) is the fitted decay exponent t = `exponent`."""
 
     alpha_hat: float
     c_hat: float
@@ -210,7 +202,7 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
     t_hat = float(_golden_section(rss, float(lo), float(hi)))
     log_c0, c_hat, resid = _linear_decay_fit(ms, ys, t_hat)
     return DecayFit(
-        alpha_hat=1.0 / (2.0 * t_hat),
+        alpha_hat=1.0 / t_hat,
         c_hat=c_hat,
         residual=resid,
         support_size=ms.size,
@@ -316,8 +308,7 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
     was not witnessed within range.  All ratios are formed in log space
     termwise, so monotonicity in h and alpha holds exactly in floating point.
     """
-    if N_max < 1:
-        raise DomainError(f"N_max must be >= 1, got {N_max}")
+    N_max = _check_count(N_max, "N_max must be an integer >= 1", 1)
     log_h = math.log(params.scale)
     log_ratios = []
     for N in range(1, N_max + 1):
@@ -454,14 +445,13 @@ def gtype_seminorm(a: CoefficientField, params: SpaceParams, P: int = 6) -> GTyp
     the report carries the running maximum per order so saturation is
     visible.
     """
-    if P != int(P) or P < 0:
-        raise DomainError(f"max order must be a nonnegative integer, got {P!r}")
-    orders, log_norms = _log_gtype_norms(a, int(P))
+    P = _check_count(P, "max order must be a nonnegative integer")
+    orders, log_norms = _log_gtype_norms(a, P)
     # log of A^{|n|} prod_j n_j^{(alpha/2) n_j}, 0^0 = 1
     log_weight = (orders.sum(axis=1) * math.log(params.scale)
                   + params.alpha / 2.0 * (orders * np.log(np.maximum(orders, 1))).sum(axis=1))
     log_ratio = log_norms - log_weight[:, None] - log_weight[None, :]
-    per_order = np.full(int(P) + 1, -math.inf)
+    per_order = np.full(P + 1, -math.inf)
     shell = orders.sum(axis=1)
     np.maximum.at(per_order, np.maximum.outer(shell, shell).ravel(), log_ratio.ravel())
     pi, ki = divmod(int(np.argmax(log_ratio)), len(orders))  # the first maximum, graded-lex

@@ -9,7 +9,7 @@ number and on rescaled bare polynomials elsewhere, so it holds for every x >= 0.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -36,19 +36,17 @@ def validate_multi_index(n: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def index_order(n: Sequence[int]) -> int:
-    """|n| = sum of the entries."""
-    return int(sum(n))
-
-
-def validate_point(x: Sequence[float]) -> np.ndarray:
-    """Validate a point on the closed orthant (all coordinates >= 0)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("evaluation point must be a nonempty 1-D coordinate vector")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError(f"coordinates must be finite and nonnegative, got {x!r}")
-    return arr
+def _check_count(value, rule: str, lo: int = 0, hi: float = math.inf) -> int:
+    """The one check of a count: `value` as an int when it is a Python or NumPy
+    integer (it has __index__) in [lo, hi]; anything else (3.0, NaN, "3") is a
+    DomainError stating `rule`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is not None and lo <= count <= hi:
+        return count
+    raise DomainError(f"{rule}, got {value!r}")
 
 
 def _validate_points(points, dim: int) -> np.ndarray:
@@ -66,15 +64,20 @@ def _validate_points(points, dim: int) -> np.ndarray:
 TRUNCATION_KINDS = ("total", "box")
 
 
+def _check_truncation(kind: str, dim: int, degree: int) -> tuple[int, int]:
+    """The one check of a truncation set; returns (dim, degree) as ints."""
+    if kind not in TRUNCATION_KINDS:
+        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
+    rule = "dimension must be >= 1 and degree >= 0, both integers"
+    return _check_count(dim, rule, 1), _check_count(degree, rule)
+
+
 def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
     """The multi-indices with |n| <= degree ("total") or every n_j <= degree
     ("box"), graded-lex, as an (n_terms, dim) int64 array.  Each row carries
     what is left of its |n|; one np.repeat per axis expands it into every
     allowed n_j, so memory stays proportional to the output."""
-    if kind not in TRUNCATION_KINDS:
-        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
-    if dim < 1 or degree < 0:
-        raise DomainError("dimension must be >= 1 and degree >= 0")
+    dim, degree = _check_truncation(kind, dim, degree)
     box = kind == "box"
     rest = np.arange((dim if box else 1) * degree + 1, dtype=np.int64)  # one row per shell
     cols = []
@@ -91,10 +94,7 @@ def truncation_shell_counts(kind: str, dim: int, degree: int) -> list[int]:
     """Exact number of multi-indices on each shell |n| = m of the truncation
     set: comb(m+dim-1, dim-1) for "total", the dim-fold convolution of
     degree+1 ones for "box"; memory O(dim * degree), not O(set size)."""
-    if kind not in TRUNCATION_KINDS:
-        raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
-    if dim < 1 or degree < 0:
-        raise DomainError("dimension must be >= 1 and degree >= 0")
+    dim, degree = _check_truncation(kind, dim, degree)
     if kind == "total":
         return [math.comb(m + dim - 1, dim - 1) for m in range(degree + 1)]
     counts = np.ones(1, dtype=object)  # Python ints, so no count can overflow
@@ -115,6 +115,9 @@ def exp_or_inf(log_value: float) -> float:
 # Laguerre functions
 # ---------------------------------------------------------------------------
 
+MAX_SWEEP_VALUES = 2**26  # cap on the entries of one sweep's rows (512 MiB)
+
+
 def _laguerre_rows(max_degree: int, x, damped: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """One run of the three-term recurrence: rows (max_degree+1, len(x)) and a per-point log
     scale g, l_j(x) = rows[j] e^g (None stands for g = 0).  With `damped`, points whose e^{-x/2}
@@ -122,11 +125,13 @@ def _laguerre_rows(max_degree: int, x, damped: bool) -> tuple[np.ndarray, np.nda
     (g = shift log 2 - x/2): as |L_j(x)| <= e^{x/2} (Szegő 7.21) and <= (1+x)^j, a start of
     2^-shift keeps them below 2^332 < 1e100 where it is normal; elsewhere they start from 1,
     and a row passing 1e100 has its point's rows divided by a power of two, exactly."""
-    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {max_degree!r}")
+    max_degree = _check_count(max_degree, "degree must be a nonnegative integer")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (x.min(initial=0.0) >= 0 and (top := x.max(initial=0.0)) < math.inf):  # NaN fails too
         raise DomainError("arguments must be finite and nonnegative")
+    if (size := (max_degree + 1) * x.size) > MAX_SWEEP_VALUES:
+        raise DomainError(f"a sweep to degree {max_degree} at {x.size} argument(s) needs {size}"
+                          f" values, above the cap of {MAX_SWEEP_VALUES}")
     rows = np.empty((max_degree + 1, x.size))
     g = -x / 2.0
     rows[0] = np.exp(g) if damped else 0.0
@@ -163,9 +168,8 @@ def laguerre_fn_sweep(max_degree: int, x) -> np.ndarray:
 
 def laguerre_fn_log_christoffel(K: int, x) -> np.ndarray:
     """log sum_{j<K} l_j(x)^2, the log inverse Christoffel function, from the bare polynomials: any x >= 0."""
-    if K != int(K) or K < 1:
-        raise DomainError(f"number of terms must be a positive integer, got {K!r}")
-    rows, g = _laguerre_rows(int(K) - 1, x, damped=False)
+    K = _check_count(K, "number of terms must be a positive integer", 1)
+    rows, g = _laguerre_rows(K - 1, x, damped=False)
     return np.log(np.sum(np.square(rows, out=rows), axis=0)) + 2.0 * g
 
 
@@ -180,16 +184,3 @@ def laguerre_fn_derivative_sweep(max_degree: int, x) -> tuple[np.ndarray, np.nda
     """Values, first and second derivatives of l_0..l_max at the points x, each of shape
     (max_degree+1, len(x)), from the values of `laguerre_fn_sweep` alone: right for every x >= 0."""
     return _derivative_rows(laguerre_fn_sweep(max_degree, x))
-
-
-def laguerre_fn_eval(n: Sequence[int], x: Sequence[float]) -> float:
-    """Tensor-product Laguerre function l_n(x) = prod_j L_{n_j}(x_j) e^{-x_j/2}."""
-    n = validate_multi_index(n)
-    pt = validate_point(x)
-    if len(n) != pt.size:
-        raise DomainError(f"dimension mismatch: index has {len(n)} entries, point has {pt.size}")
-    val = 1.0
-    for nj, xj in zip(n, pt):
-        val *= laguerre_fn_sweep(nj, xj)[nj, 0]
-    return val
-

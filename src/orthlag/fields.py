@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.laguerre import lag2poly
 
-from .core import DomainError, _validate_points, validate_multi_index
+from .core import DomainError, _check_count, _validate_points, validate_multi_index
 from .transform import ScalarField
 
 
@@ -72,6 +72,7 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
 
 def exp_decay_field(dim: int) -> ScalarField:
     """e^{-sum_j x_j}."""
+    dim = _check_count(dim, "dimension must be an integer >= 1", 1)
     return separable_poly_exp_field([[1.0]] * dim, [1.0] * dim)
 
 
@@ -91,6 +92,7 @@ def laguerre_field(n) -> ScalarField:
 def poly_exp_field(coeffs, dim: int = 1) -> ScalarField:
     """Per-axis polynomial with the given ascending coefficients, times
     e^{-x_j/2} on each axis."""
+    dim = _check_count(dim, "dimension must be an integer >= 1", 1)
     return separable_poly_exp_field([coeffs] * dim, [0.5] * dim)
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, _validate_points, exp_or_inf
+from .core import DomainError, _check_count, _validate_points
 from .transform import CoefficientField, ScalarField
 
 
@@ -25,16 +25,10 @@ def apply_multiplier(a: CoefficientField, factors: np.ndarray) -> CoefficientFie
         return a.with_values(factors * a.values)
 
 
-def _check_power(N) -> int:
-    if N != int(N) or N < 0:
-        raise DomainError(f"operator power must be a nonnegative integer, got {N!r}")
-    return int(N)
-
-
 def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
     """Coefficients of E^N f: entry at n scaled by |n|^N (0^0 = 1, so N = 0
     is the identity)."""
-    N = _check_power(N)
+    N = _check_count(N, "operator power must be a nonnegative integer")
 
     def power(m):
         try:
@@ -91,19 +85,12 @@ def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, 
         return _logsumexp(p * logs) / p
 
 
-def iterate_norm(a: CoefficientField, N: int) -> float:
-    """L2 norm of E^N applied to the truncated series.
-
-    By orthonormality this is sqrt(sum |n|^{2N} a_n^2); the sum is taken in
-    log space so large powers do not overflow before the square root; the
-    result is inf where the norm itself exceeds binary64.
-    """
-    return exp_or_inf(log_iterate_norm(a, N))
-
-
 def log_iterate_norm(a: CoefficientField, N: int) -> float:
-    """log of `iterate_norm`; -inf when the norm is zero."""
-    N = _check_power(N)
+    """log of the L2 norm of E^N applied to the truncated series; -inf when
+    the norm is zero.  By orthonormality the norm is sqrt(sum |n|^{2N} a_n^2),
+    summed in log space so no power overflows; `exp_or_inf` of the result is
+    the norm, inf where it exceeds binary64."""
+    N = _check_count(N, "operator power must be a nonnegative integer")
     # log |n|^N per shell, with 0^0 = 1
     log_powers = N * a._log_shells if N else np.zeros(a._log_shells.size)
     return log_shell_weighted_norm(a, log_powers, 2)

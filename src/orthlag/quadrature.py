@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .core import DomainError, laguerre_fn_log_christoffel
+from .core import DomainError, _check_count, laguerre_fn_log_christoffel
 
 MAX_RULE_SIZE = 512
 
@@ -60,16 +60,17 @@ def gauss_laguerre_rule(K: int) -> QuadratureRule:
 
     evaluated through an exponent-tracked recurrence, one path for every node.
     """
-    if K != int(K) or not 1 <= K <= MAX_RULE_SIZE:
-        raise DomainError(f"rule size must be an integer in [1, {MAX_RULE_SIZE}], got {K!r}")
-    K = int(K)
+    K = _check_count(K, f"rule size must be an integer in [1, {MAX_RULE_SIZE}]", 1, MAX_RULE_SIZE)
     nodes = eigvalsh_tridiagonal(2.0 * np.arange(K) + 1.0, np.arange(1.0, K))
     return QuadratureRule(nodes=nodes, log_modified_weights=-laguerre_fn_log_christoffel(K, nodes))
 
 
 def default_rule_size(degree: int) -> int:
     """Rule size used by the transforms for a given per-axis degree bound."""
-    return min(degree + 16, MAX_RULE_SIZE)
+    return min(_check_count(degree, "degree must be a nonnegative integer") + 16, MAX_RULE_SIZE)
+
+
+MAX_GRID_POINTS = 2**24  # cap on the nodes of a K^d tensor grid (128 MiB per copy)
 
 
 def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndarray:
@@ -77,9 +78,13 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
 
     One call per node, in lexicographic node order; a non-finite value raises
     DomainError naming its node, the only report (NumPy's overflow and
-    invalid-value warnings are off while the evaluator runs).
+    invalid-value warnings are off while the evaluator runs).  A grid of more
+    than MAX_GRID_POINTS nodes is a DomainError, raised before any work.
     """
-    values = np.empty(nodes.size ** d)
+    if (size := nodes.size ** d) > MAX_GRID_POINTS:
+        raise DomainError(f"a {nodes.size}-node rule in dimension {d} makes a grid of {size} points,"
+                          f" above the cap of {MAX_GRID_POINTS}")
+    values = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, x in enumerate(product(nodes.tolist(), repeat=d)):
             val = float(evaluator(np.array(x)))
@@ -92,15 +97,12 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
 def integrate_orthant(f: Callable, rule: QuadratureRule, d: int = 1) -> float:
     """Tensor-product Gauss-Laguerre integral of f over the positive orthant.
 
-    f (a callable or a field with an `evaluator`) is evaluated once per node
-    of the d-fold grid, and the weighted values are added with `math.fsum`,
-    so the result is the correctly rounded sum of the terms, whatever their
-    order.
+    The callable f is evaluated once per node of the d-fold grid, and the
+    weighted values are added with `math.fsum`, so the result is the
+    correctly rounded sum of the terms, whatever their order.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    evaluator = f.evaluator if hasattr(f, "evaluator") else f
-    values = _node_grid_values(evaluator, rule.nodes, d)
+    d = _check_count(d, "dimension must be an integer >= 1", 1)
+    values = _node_grid_values(f, rule.nodes, d)
     wmod = rule.modified_weights
     weights = wmod
     for _ in range(d - 1):

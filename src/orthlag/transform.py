@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    TRUNCATION_KINDS,
     DomainError,
+    _check_truncation,
     _derivative_rows,
     _validate_points,
     laguerre_fn_sweep,
@@ -39,9 +39,6 @@ class ScalarField:
     dim: int
     evaluator: Callable[[np.ndarray], float]
     deriv: Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None = None
-
-    def __call__(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
 
 
 class CoefficientField:
@@ -68,10 +65,7 @@ class CoefficientField:
         """The one validation path, on whole arrays; a bad row raises the error
         the first failing row would get from `validate_multi_index` and the
         dimension and bound checks, in that order."""
-        if truncation_kind not in TRUNCATION_KINDS:
-            raise DomainError(f"truncation kind must be one of {TRUNCATION_KINDS}")
-        if dim < 1 or degree < 0:
-            raise DomainError("dimension must be >= 1 and degree >= 0")
+        dim, degree = _check_truncation(truncation_kind, dim, degree)
         if (degree if truncation_kind == "total" else degree * dim) >= 2**63:
             # every allowed |n|, and so every n_j, must fit in int64
             raise DomainError(f"{truncation_kind} degree {degree} in dimension {dim} allows |n| >= 2^63")
@@ -201,14 +195,15 @@ def analyze(
     transform matrix VW[m, k] = l_m(x_k) e^{x_k} w_k (sum factorization), the
     same path for every dimension d.
     """
+    d, degree = _check_truncation(kind, f.dim, degree)
     if rule.size < degree + 1:
         raise DomainError(
             f"rule with {rule.size} nodes is too small for degree {degree} (need >= {degree + 1})"
         )
-    d = f.dim
-    index = truncation_index(kind, d, degree)  # checks kind, d and degree before any work
-    VW = laguerre_fn_sweep(degree, rule.nodes) * rule.modified_weights  # (degree+1, K)
+    # the grid's cap comes first: it bounds the truncation set too, as (degree+1)^d <= K^d
     A = _node_grid_values(f.evaluator, rule.nodes, d)
+    index = truncation_index(kind, d, degree)
+    VW = laguerre_fn_sweep(degree, rule.nodes) * rule.modified_weights  # (degree+1, K)
     for _ in range(d):
         # contract the leading node axis; its degree axis goes last, so after
         # d steps the axes are back in order

@@ -21,10 +21,10 @@ from orthlag.analysis import (
     estimate_decay_params,
     eta_seminorm,
     gtype_seminorm,
+    log_weighted_seq_norm,
     norm_equivalence_gap,
-    weighted_seq_norm,
 )
-from orthlag.core import laguerre_fn_derivative_sweep, laguerre_fn_sweep, truncation_index
+from orthlag.core import exp_or_inf, laguerre_fn_derivative_sweep, laguerre_fn_sweep, truncation_index
 from orthlag.fields import exp_decay_field
 from orthlag.operators import apply_E_pointwise, apply_E_spectral, semigroup_propagate
 from orthlag.quadrature import gauss_laguerre_rule
@@ -177,9 +177,9 @@ def test_criterion_9_monotonicity_suite():
         hi_al = eta_seminorm(a, SpaceParams(2.0, 1.0), 20).value
         ok = ok and hi_h <= lo_h and hi_al <= lo_al
         params = SpaceParams(1.0, 1.0)
-        n_inf = weighted_seq_norm(a, params, math.inf)
-        n_2 = weighted_seq_norm(a, params, 2)
-        n_1 = weighted_seq_norm(a, params, 1)
+        n_inf = exp_or_inf(log_weighted_seq_norm(a, params, math.inf))
+        n_2 = exp_or_inf(log_weighted_seq_norm(a, params, 2))
+        n_1 = exp_or_inf(log_weighted_seq_norm(a, params, 1))
         ok = ok and n_inf <= n_2 <= n_1
         rep = norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1.0)
         ok = ok and rep.ratio <= rep.constant

@@ -152,6 +152,38 @@ class TestAnalyze:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestInputSizedAllocations:
+    """Inputs whose arrays would outgrow memory end in one line and exit 2,
+    before anything is allocated."""
+
+    HUGE_INDEX = "dim: 1\ntruncation_kind: total\ntruncation_degree: 3000000000\n3000000000,1.0\n"
+
+    def test_synthesize_at_a_huge_index(self, tmp_path, capsys):
+        src, pts = tmp_path / "a.txt", tmp_path / "pts.csv"
+        src.write_text(self.HUGE_INDEX)
+        pts.write_text("1.0\n")
+        code, out, err = run(capsys, "synthesize", "--in", str(src), "--points", str(pts),
+                             "--out", str(tmp_path / "v.csv"))
+        assert code == 2 and out == "" and err.count("\n") == 1 and "above the cap" in err
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_analyze_coeffs_at_a_huge_index(self, tmp_path, capsys):
+        src = tmp_path / "a.txt"
+        src.write_text(self.HUGE_INDEX)
+        code, out, err = run(capsys, "analyze", "--coeffs", str(src), "--degree", "3",
+                             "--out", str(tmp_path / "b.txt"))
+        assert code == 2 and out == "" and err.count("\n") == 1 and "above the cap" in err
+        assert not (tmp_path / "b.txt").exists()
+
+    def test_analyze_grid_beyond_the_cap(self, tmp_path, capsys):
+        # 26^8 nodes, a 1.52 TiB grid
+        code, out, err = run(capsys, "analyze", "--fn", "exp-decay", "--dim", "8", "--degree", "10",
+                             "--out", str(tmp_path / "a.txt"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"grid of {26 ** 8} points, above the cap" in err
+        assert not (tmp_path / "a.txt").exists()
+
+
 class TestSynthesize:
     def test_roundtrip_values(self, tmp_path, capsys):
         coeffs = tmp_path / "a.txt"
@@ -325,6 +357,17 @@ class TestNormsEtaClassify:
         assert code == 0
         fields = dict(line.split(": ", 1) for line in out.splitlines())
         assert fields["verdict"] in ("roumieu", "beurling")
+
+    def test_classify_prints_alpha_hat_on_the_scale_of_alpha(self, tmp_path, capsys):
+        # a_n = e^{-sqrt(n)}: decay exponent t = 1/2, the Roumieu boundary at alpha = 2
+        path = tmp_path / "c.txt"
+        write_coefficients(CoefficientField(1, "total", 3000, {(n,): math.exp(-math.sqrt(n))
+                                                               for n in range(3001)}), path)
+        code, out, _ = run(capsys, "classify", "--in", str(path), "--alpha", "2")
+        lines = dict(ln.split(": ", 1) for ln in out.splitlines())
+        assert code == 0 and lines["verdict"] == "roumieu" and lines["target_exponent"] == "0.5"
+        assert float(lines["alpha_hat"]) == pytest.approx(2.0, abs=1e-9)
+        assert float(lines["alpha_hat"]) == pytest.approx(1 / float(lines["exponent"]), rel=1e-15)
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "classify", "--in", "/nonexistent.txt",

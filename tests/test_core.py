@@ -9,62 +9,102 @@ from numpy.polynomial.laguerre import lagval
 
 from orthlag.core import (
     DomainError,
-    index_order,
     laguerre_fn_derivative_sweep,
-    laguerre_fn_eval,
     laguerre_fn_log_christoffel,
     laguerre_fn_sweep,
     truncation_index,
     truncation_shell_counts,
     validate_multi_index,
 )
+from orthlag.transform import CoefficientField, synthesize
+
+
+def laguerre_fn_eval(n, x):
+    """The former one-point evaluator, kept as the reference: l_n(x) =
+    prod_j l_{n_j}(x_j), one sweep per axis."""
+    n = validate_multi_index(n)
+    pt = np.asarray(x, dtype=float)
+    if pt.shape != (len(n),):
+        raise DomainError(f"dimension mismatch: index has {len(n)} entries, point has shape {pt.shape}")
+    val = 1.0
+    for nj, xj in zip(n, pt):
+        val *= laguerre_fn_sweep(nj, xj)[nj, 0]
+    return val
+
+
+def unit_field(n):
+    """The field l_n: the single term a_n = 1."""
+    return CoefficientField(len(n), "total", sum(n), {tuple(n): 1.0})
+
+
+def l_at(n, x):
+    """l_n(x) at one point, from `synthesize` of the unit field."""
+    return synthesize(unit_field(n), [x])[0]
 
 
 class TestLaguerrePolyEval:
-    """The polynomial factor L_j(x) = l_j(x) e^{x/2} of the damped evaluator."""
+    """The polynomial factor L_j(x) = l_j(x) e^{x/2} of the damped sweep."""
 
     def test_degree_zero_is_one(self):
-        assert laguerre_fn_eval((0,), (7.3,)) * math.exp(7.3 / 2) == pytest.approx(1.0, rel=1e-15)
+        assert laguerre_fn_sweep(0, 7.3)[0, 0] * math.exp(7.3 / 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_degree_one(self):
-        assert laguerre_fn_eval((1,), (2.0,)) * math.exp(1.0) == pytest.approx(-1.0, rel=1e-15)
+        assert laguerre_fn_sweep(1, 2.0)[1, 0] * math.exp(1.0) == pytest.approx(-1.0, rel=1e-15)
 
     def test_degree_two(self):
         # L_2(x) = (x^2 - 4x + 2)/2
-        assert laguerre_fn_eval((2,), (1.0,)) * math.exp(0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert laguerre_fn_sweep(2, 1.0)[2, 0] * math.exp(0.5) == pytest.approx(-0.5, abs=1e-15)
 
     def test_rejects_negative_argument(self):
-        with pytest.raises(DomainError):
-            laguerre_fn_eval((3,), (-0.1,))
+        for evaluate in (lambda: laguerre_fn_sweep(3, -0.1), lambda: l_at((3,), (-0.1,))):
+            with pytest.raises(DomainError):
+                evaluate()
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(DomainError):
-            laguerre_fn_eval((-1,), (1.0,))
+        for evaluate in (lambda: laguerre_fn_sweep(-1, 1.0), lambda: l_at((-1,), (1.0,))):
+            with pytest.raises(DomainError):
+                evaluate()
 
 
 class TestLaguerreFnEval:
+    """l_n(x) at one point, from `synthesize` of the unit field."""
+
     def test_value_at_origin(self):
-        assert laguerre_fn_eval((0,), (0.0,)) == 1.0
+        assert l_at((0,), (0.0,)) == 1.0
 
     def test_exponential_damping(self):
-        assert laguerre_fn_eval((0,), (2.0,)) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert l_at((0,), (2.0,)) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_tensor_product(self):
-        assert laguerre_fn_eval((0, 0), (1.0, 3.0)) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert l_at((0, 0), (1.0, 3.0)) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            laguerre_fn_eval((1, 2), (1.0,))
+            l_at((1, 2), (1.0,))
 
     def test_corner_value_is_one_for_all_indices(self):
         for n in [(3,), (10,), (4, 9), (1, 2, 3)]:
-            assert laguerre_fn_eval(n, [0.0] * len(n)) == pytest.approx(1.0, abs=1e-13)
+            assert l_at(n, [0.0] * len(n)) == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_polynomial_times_damping(self):
+        xs = np.array([0.3, 1.7, 9.0])
+        rows = laguerre_fn_sweep(11, xs)
         for j in range(12):
-            for x in (0.3, 1.7, 9.0):
+            for i, x in enumerate(xs):
                 expected = lagval(x, np.eye(j + 1)[j]) * math.exp(-x / 2)
-                assert laguerre_fn_eval((j,), (x,)) == pytest.approx(expected, rel=1e-12)
+                assert rows[j, i] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_unit_fields_match_the_one_point_reference_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        far = [0.0, 1e-300, 700.0, 1416.0, 1500.0, 3850.0]  # the damped and the rescaled paths
+        for _ in range(40):
+            n = tuple(rng.integers(0, 60, size=dim).tolist())
+            pts = np.concatenate([rng.uniform(0.0, 80.0, size=(20, dim)), rng.choice(far, size=(10, dim))])
+            got = synthesize(unit_field(n), pts)
+            want = np.array([laguerre_fn_eval(n, x) for x in pts])
+            # bit for bit, up to the sign of a zero (the sum over terms starts from +0)
+            assert np.array_equal(got, want)
 
 
 class TestDerivatives:
@@ -88,9 +128,7 @@ class TestDerivatives:
         l, dl, ddl = laguerre_fn_derivative_sweep(8, xs)
         for j in (1, 5, 8):
             for i, x in enumerate(xs):
-                up = laguerre_fn_eval((j,), (x + h,))
-                dn = laguerre_fn_eval((j,), (x - h,))
-                mid = laguerre_fn_eval((j,), (x,))
+                up, mid, dn = laguerre_fn_sweep(j, np.array([x + h, x, x - h]))[j]
                 assert dl[j, i] == pytest.approx((up - dn) / (2 * h), abs=1e-6)
                 assert ddl[j, i] == pytest.approx((up - 2 * mid + dn) / h**2, abs=1e-4)
 
@@ -154,8 +192,8 @@ class TestMultiIndices:
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5))
     def test_order_is_permutation_invariant(self, entries):
         n = validate_multi_index(entries)
-        assert index_order(n) == index_order(tuple(reversed(n)))
-        assert index_order(n) >= 0
+        orders = [unit_field(m).orders[0] for m in (n, tuple(reversed(n)))]
+        assert orders[0] == orders[1] == sum(entries) >= 0
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=4))
     def test_compositions_sum(self, total, parts):

@@ -141,6 +141,11 @@ class TestIntegrateOrthant:
         with pytest.raises(DomainError, match="non-finite"):
             integrate_orthant(lambda x: math.inf, rule, 1)
 
+    def test_grid_beyond_the_cap_is_a_domain_error(self):
+        # 64^5 nodes: the node grid alone would hold 8 GiB
+        with pytest.raises(DomainError, match=f"grid of {64 ** 5} points, above the cap"):
+            integrate_orthant(lambda x: 1.0, gauss_laguerre_rule(64), 5)
+
     def test_repeated_integral_is_bitwise_identical(self):
         rule = gauss_laguerre_rule(24)
         f = lambda x: math.sin(x[0]) * math.exp(-x[0] - x[1])

@@ -300,6 +300,9 @@ class EtaResult(NamedTuple):
     log_value: float  # log of the supremum; -inf when it is zero
 
 
+MAX_ETA_POWERS = 2**19  # cap on N_max: the ratio list, and about a second on a two-term field
+
+
 def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaResult:
     """sup over 1 <= N <= N_max of ||E^N f||_{L2} / (h^N N!^alpha).
 
@@ -307,8 +310,11 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
     when the ratio is still strictly increasing at N_max, i.e. the supremum
     was not witnessed within range.  All ratios are formed in log space
     termwise, so monotonicity in h and alpha holds exactly in floating point.
+    Each ||E^N f|| is one `log_iterate_norm` call, which serves a run of
+    consecutive N from one window per field.  N_max above MAX_ETA_POWERS is
+    a DomainError, raised before any norm is computed.
     """
-    N_max = _check_count(N_max, "N_max must be an integer >= 1", 1)
+    N_max = _check_count(N_max, f"N_max must be an integer in [1, {MAX_ETA_POWERS}]", 1, MAX_ETA_POWERS)
     log_h = math.log(params.scale)
     log_ratios = []
     for N in range(1, N_max + 1):

@@ -72,13 +72,26 @@ def _check_truncation(kind: str, dim: int, degree: int) -> tuple[int, int]:
     return _check_count(dim, rule, 1), _check_count(degree, rule)
 
 
+MAX_INDEX_ENTRIES = 2**26  # cap on the entries (terms x dim) of one truncation_index array (512 MiB)
+
+
 def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
     """The multi-indices with |n| <= degree ("total") or every n_j <= degree
     ("box"), graded-lex, as an (n_terms, dim) int64 array.  Each row carries
     what is left of its |n|; one np.repeat per axis expands it into every
-    allowed n_j, so memory stays proportional to the output."""
+    allowed n_j, so memory stays proportional to the output.  A set of more
+    than MAX_INDEX_ENTRIES entries is a DomainError, raised before any work."""
     dim, degree = _check_truncation(kind, dim, degree)
     box = kind == "box"
+    # n_terms = (degree+1)^dim or C(degree+dim, dim); either passes 2^64 once dim > 64
+    # and degree > 0 (box) or degree > 64 (total), so the closed form stays cheap
+    if box:
+        terms = (degree + 1) ** dim if dim <= 64 or degree == 0 else math.inf
+    else:
+        terms = math.comb(degree + dim, dim) if min(dim, degree) <= 64 else math.inf
+    if terms * dim > MAX_INDEX_ENTRIES:
+        raise DomainError(f"the {kind} truncation set of degree {degree} in dimension {dim}"
+                          f" holds over {MAX_INDEX_ENTRIES} index entries, the cap")
     rest = np.arange((dim if box else 1) * degree + 1, dtype=np.int64)  # one row per shell
     cols = []
     for later in range(dim - 1, 0, -1):  # the axes after this one

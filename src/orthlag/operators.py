@@ -46,24 +46,24 @@ def semigroup_propagate(a: CoefficientField, t: float) -> CoefficientField:
     return apply_multiplier(a, a.per_shell(lambda m: math.exp(-t * m)))
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) of a nonempty 1-D float array.
+def _logsumexp(x: np.ndarray):
+    """log(sum(exp(x))) along the last axis of a float array with nonempty
+    rows: a float for 1-D x, else one value per row.
 
     These are the NumPy operations that scipy.special.logsumexp performs on
-    real 1-D input, so the result is the same to the bit: the elements tied
-    with the maximum are counted and left out of the shifted sum, and the
-    sum is divided by their count before log1p."""
-    x_max = x.max()
-    if not math.isfinite(x_max):  # +inf, an all -inf array, or nan
-        return float(x_max)
+    real 1-D input, row by row, so each result is the same to the bit: the
+    elements tied with the maximum are counted and left out of the shifted
+    sum, and the sum is divided by their count before log1p.  A row whose
+    maximum is +inf, -inf or nan gives that maximum."""
+    x_max = x.max(axis=-1, keepdims=True)
     tied = x == x_max
-    count = np.float64(np.count_nonzero(tied))
-    shifted = np.exp(x - x_max)
-    shifted[tied] = 0.0
-    s = shifted.sum()
-    if s != 0:
-        s = s / count
-    return float(np.log1p(s) + np.log(count) + x_max)
+    count = np.count_nonzero(tied, axis=-1).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):  # only where the maximum is not finite
+        shifted = x - x_max
+        np.exp(shifted, out=shifted)
+        shifted[tied] = 0.0
+        out = np.log1p(shifted.sum(axis=-1) / count) + np.log(count) + x_max[..., 0]
+    return out if x.ndim > 1 else float(out)
 
 
 def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> float:
@@ -85,15 +85,35 @@ def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, 
         return _logsumexp(p * logs) / p
 
 
+MAX_OPERATOR_POWER = 2**53  # the largest N that binary64 holds exactly
+ITERATE_WINDOW_VALUES = 2**11  # entries of one window of iterate norms
+
+
 def log_iterate_norm(a: CoefficientField, N: int) -> float:
-    """log of the L2 norm of E^N applied to the truncated series; -inf when
-    the norm is zero.  By orthonormality the norm is sqrt(sum |n|^{2N} a_n^2),
-    summed in log space so no power overflows; `exp_or_inf` of the result is
-    the norm, inf where it exceeds binary64."""
-    N = _check_count(N, "operator power must be a nonnegative integer")
-    # log |n|^N per shell, with 0^0 = 1
-    log_powers = N * a._log_shells if N else np.zeros(a._log_shells.size)
-    return log_shell_weighted_norm(a, log_powers, 2)
+    """log of the L2 norm of E^N applied to the truncated series, for
+    0 <= N <= 2^53; -inf when the norm is zero.  By orthonormality the norm
+    is sqrt(sum |n|^{2N} a_n^2), summed in log space so no power overflows;
+    `exp_or_inf` of the result is the norm, inf where it exceeds binary64.
+
+    The field keeps the last window of B = max(1, ITERATE_WINDOW_VALUES //
+    terms) consecutive powers, computed at once from N on, so a run of calls
+    at N, N+1, ... costs one (B x terms) log-sum-exp per B powers.  Each
+    value is the per-N log-sum-exp to the bit."""
+    N = _check_count(N, "operator power must be an integer in [0, 2^53]", hi=MAX_OPERATOR_POWER)
+    if N == 0:  # 0^0 = 1: every nonzero term, |n| = 0 included
+        log_abs = a._log_abs[0]
+        return _logsumexp(2 * log_abs) / 2 if log_abs.size else -math.inf
+    start, window = getattr(a, "_iterate_window", (0, ()))
+    if not start <= N < start + len(window):
+        log_abs, log_m = a._log_iterate_terms
+        if not log_abs.size:
+            return -math.inf
+        powers = N + np.arange(max(1, ITERATE_WINDOW_VALUES // log_abs.size), dtype=np.float64)
+        x = np.multiply.outer(powers, log_m)
+        x += log_abs
+        x *= 2
+        start, window = a._iterate_window = N, _logsumexp(x) / 2
+    return float(window[N - start])
 
 
 def apply_E_pointwise(f: ScalarField, points) -> np.ndarray:

@@ -152,6 +152,15 @@ class CoefficientField:
         log_abs = np.array([math.log(v) for v in np.abs(self.values[nonzero]).tolist()], dtype=float)
         return _readonly(log_abs), _readonly(self._shells[1][nonzero])
 
+    @cached_property
+    def _log_iterate_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(math.log|a_n|, math.log|n|) over the terms with a_n != 0 and
+        |n| > 0, in `index` order: the terms of ||E^N f|| for N >= 1."""
+        log_abs, shell_of = self._log_abs
+        log_m = self._log_shells[shell_of]
+        keep = log_m > -math.inf
+        return _readonly(log_abs[keep]), _readonly(log_m[keep])
+
     def per_shell(self, fn: Callable[[int], float]) -> np.ndarray:
         """fn(|n|) for each stored term, with one call of fn per shell that
         holds a term (a sparse field with a huge |n| costs no more)."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orthlag.analysis import MAX_ETA_POWERS
 from orthlag.cli import build_parser, main
 from orthlag.core import DomainError
 from orthlag.transform import read_coefficients, write_coefficients
@@ -450,6 +451,7 @@ GEOMETRIC_FILE = "dim: 1\ntruncation_kind: total\ntruncation_degree: 8\n" + "".j
     ["eta", "--alpha", "inf", "--h", "1"],
     ["eta", "--alpha", "1", "--h", "nan"],
     ["eta", "--alpha", "1", "--h", "inf"],
+    ["eta", "--alpha", "1", "--h", "1", "--nmax", str(MAX_ETA_POWERS + 1)],
     ["norms", "--alpha", "nan", "--h", "1"],
     ["norms", "--alpha", "1", "--h", "nan"],
     ["norms", "--alpha", "1", "--h", "1", "--p", "nan"],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial.laguerre import lagval
 
+from orthlag import core
 from orthlag.core import (
     DomainError,
     laguerre_fn_derivative_sweep,
@@ -219,6 +220,29 @@ class TestMultiIndices:
             truncation_index(kind, dim, degree)
         with pytest.raises(DomainError):
             truncation_shell_counts(kind, dim, degree)
+
+    @pytest.mark.parametrize("kind,dim,degree", [
+        ("total", 30, 30), ("box", 30, 30), ("box", 10**9, 0), ("box", 10**9, 1),
+        ("total", 2, 10**15), ("total", 10**9, 10**9), ("box", 64, 10**15),
+    ])
+    def test_truncation_index_over_the_cap_fails_before_any_array(self, monkeypatch, kind, dim, degree):
+        # ("total", 30, 30) allocated until the process was killed; with NumPy
+        # out of reach, a missing size check fails here instead
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called before the size check")
+
+        monkeypatch.setattr(core, "np", NoArrays())
+        with pytest.raises(DomainError, match="index entries, the cap"):
+            truncation_index(kind, dim, degree)
+
+    def test_truncation_index_cap_counts_terms_times_dimension(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_INDEX_ENTRIES", 12)
+        assert truncation_index("total", 2, 2).shape == (6, 2)
+        assert truncation_index("box", 1, 11).shape == (12, 1)
+        for kind, dim, degree in (("total", 2, 3), ("box", 2, 2), ("box", 1, 12), ("total", 13, 0)):
+            with pytest.raises(DomainError, match="index entries, the cap"):
+                truncation_index(kind, dim, degree)
 
     @pytest.mark.parametrize("kind", ["total", "box"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orthlag.analysis import SpaceParams, eta_seminorm, gtype_seminorm
+from orthlag.analysis import MAX_ETA_POWERS, SpaceParams, eta_seminorm, gtype_seminorm
 from orthlag.core import (
     DomainError,
     laguerre_fn_derivative_sweep,
@@ -16,7 +16,7 @@ from orthlag.core import (
     truncation_shell_counts,
 )
 from orthlag.fields import exp_decay_field, poly_exp_field
-from orthlag.operators import apply_E_spectral, log_iterate_norm
+from orthlag.operators import MAX_OPERATOR_POWER, apply_E_spectral, log_iterate_norm
 from orthlag.quadrature import default_rule_size, gauss_laguerre_rule, integrate_orthant
 from orthlag.transform import CoefficientField, analyze
 
@@ -72,6 +72,28 @@ def test_numpy_integer_counts_give_what_int_gives(name):
     want = _bits(COUNTED[name](3))
     for count in (np.int64(3), np.int32(3)):
         assert _bits(COUNTED[name](count)) == want
+
+
+# each public function whose count has an upper bound, with that bound
+BOUNDED = {
+    "log_iterate_norm": (lambda c: log_iterate_norm(A, c), MAX_OPERATOR_POWER),
+    "eta_seminorm": (lambda c: eta_seminorm(A, PARAMS, c), MAX_ETA_POWERS),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDED))
+def test_counts_above_the_upper_bound_are_one_line_domain_errors(name):
+    call, cap = BOUNDED[name]
+    for bad in (cap + 1, 10**400):  # 10**400 ended in an OverflowError from int -> float
+        with pytest.raises(DomainError) as err:
+            call(bad)
+        assert "\n" not in str(err.value) and str(err.value).endswith(f"got {bad!r}")
+
+
+@pytest.mark.parametrize("name", list(BOUNDED))
+def test_counts_at_the_upper_bound_are_accepted(name):
+    call, cap = BOUNDED[name]
+    call(cap)
 
 
 class TestFormerlyAccepted:

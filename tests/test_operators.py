@@ -253,6 +253,36 @@ class TestBitwiseAgainstSciPyNorm:
             assert same_bits(r.log_value, log_value) and (r.argmax, r.growing) == (argmax, growing)
 
 
+class TestIterateWindow:
+    """log_iterate_norm serves consecutive powers from one cached window per field."""
+
+    @pytest.mark.parametrize("a", reference_fields())
+    def test_powers_out_of_order_match_the_reference(self, a):
+        shuffled = np.random.default_rng(3).permutation(300).tolist()
+        powers = list(range(200, -1, -1)) + [200, 0, 10**6, 2**53, 2**53 - 1, 10**6 + 1, 10**6 - 1, 1] + shuffled
+        for N in powers:
+            assert same_bits(log_iterate_norm(a, N), reference_log_iterate_norm(a, N)), N
+
+    def test_derived_fields_do_not_inherit_the_window(self):
+        rng = np.random.default_rng(4)
+        a = random_field(rng, 2, 6)
+        log_iterate_norm(a, 5)  # fills the window of a
+        derived = (a.with_values(rng.uniform(-1, 1, a.values.size)),
+                   apply_E_spectral(a, 2), semigroup_propagate(a, 0.5))
+        for b in derived:
+            for N in (5, 6, 4, 1):
+                assert same_bits(log_iterate_norm(b, N), reference_log_iterate_norm(b, N)), N
+
+
+def test_logsumexp_rows_match_scipy_row_by_row():
+    rng = np.random.default_rng(6)
+    x = np.vstack([rng.normal(0.0, 50.0, (5, 3)), [[math.inf, 1.0, 0.0], [-math.inf] * 3, [-math.inf, 0.0, -700.0]]])
+    got = _logsumexp(x)
+    assert got.shape == (8,)
+    for row, value in zip(x, got.tolist()):
+        assert same_bits(value, logsumexp(row))
+
+
 @st.composite
 def logsumexp_inputs(draw):
     """1-64 finite floats below a center, spread by up to 1e3, with the

@@ -642,7 +642,10 @@ class TestArrayContainer:
         log_abs, shell_of = a._log_abs
         assert log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
         assert shell_of.tolist() == [0, 1, 2]
-        for arr in (shells, inverse, a._log_shells, log_abs, shell_of):
+        iterate_abs, iterate_m = a._log_iterate_terms  # |n| = 0 and a_n = 0 left out
+        assert iterate_abs.tolist() == [math.log(4.0), math.log(2.0)]
+        assert iterate_m.tolist() == [0.0, math.log(3)]
+        for arr in (shells, inverse, a._log_shells, log_abs, shell_of, iterate_abs, iterate_m):
             with pytest.raises(ValueError):
                 arr[...] = 0
 

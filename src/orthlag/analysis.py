@@ -301,6 +301,7 @@ class EtaResult(NamedTuple):
 
 
 MAX_ETA_POWERS = 2**19  # cap on N_max: the ratio list, and about a second on a two-term field
+MAX_ETA_WORK = 2**26  # cap on N_max x terms: about 1.5 s at the cap on a 7381-term field
 
 
 def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaResult:
@@ -311,10 +312,14 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
     was not witnessed within range.  All ratios are formed in log space
     termwise, so monotonicity in h and alpha holds exactly in floating point.
     Each ||E^N f|| is one `log_iterate_norm` call, which serves a run of
-    consecutive N from one window per field.  N_max above MAX_ETA_POWERS is
-    a DomainError, raised before any norm is computed.
+    consecutive N from one window per field.  N_max above MAX_ETA_POWERS, or
+    N_max times the stored terms above MAX_ETA_WORK, is a DomainError, raised
+    before any norm is computed.
     """
     N_max = _check_count(N_max, f"N_max must be an integer in [1, {MAX_ETA_POWERS}]", 1, MAX_ETA_POWERS)
+    if (work := N_max * a.values.size) > MAX_ETA_WORK:
+        raise DomainError(f"N_max {N_max} over {a.values.size} terms makes {work} iterate-norm terms,"
+                          f" above the cap of {MAX_ETA_WORK}")
     log_h = math.log(params.scale)
     log_ratios = []
     for N in range(1, N_max + 1):

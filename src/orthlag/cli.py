@@ -142,10 +142,8 @@ def cmd_synthesize(args) -> int:
     if pts.shape[1] != a.dim:
         raise DomainError(f"points file has {pts.shape[1]} columns, expected {a.dim}")
     vals = synthesize(a, pts)
-    header = ",".join(f"x{j + 1}" for j in range(a.dim)) + ",value"
-    lines = [header]
-    for row, v in zip(pts, vals):
-        lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(v)))
+    lines = [",".join(f"x{j + 1}" for j in range(a.dim)) + ",value"]
+    lines += [",".join(map(repr, row + [v])) for row, v in zip(pts.tolist(), vals.tolist())]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

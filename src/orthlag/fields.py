@@ -5,6 +5,11 @@ with polynomial P_j and rate s_j > 0.  Differentiation stays in the class
 (D(P e^{-sx}) = (P' - sP) e^{-sx}), which supplies the exact per-axis first
 and second derivatives that the pointwise form of the operator uses.
 
+The one-point `evaluator` runs on Python floats: per axis, a Horner loop with
+the operations of `npoly.polyval` in its order (so the polynomial factor is
+the same to the bit), times `math.exp(-s_j x_j)`, which may differ from
+`np.exp` in the last bit.  `deriv` stays vectorized over (npts, d) points.
+
 Registry names accepted by the CLI:
   exp-decay            e^{-sum x_j}
   l:<i1,...,id>        a single Laguerre function l_n, every i_j <= 23
@@ -28,7 +33,8 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
     second derivatives.
 
     `axis_coeffs` is a list of ascending polynomial coefficient arrays, one
-    per axis; `rates` the per-axis exponential rates.
+    per axis; `rates` the per-axis exponential rates.  The evaluator takes
+    one point of the orthant as a 1-D array.
     """
     axis_coeffs = [np.asarray(c, dtype=float) for c in axis_coeffs]
     rates = [float(s) for s in rates]
@@ -53,11 +59,16 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
     def axis_value(j, order, xj):
         return npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj)
 
+    # per axis, the coefficients highest power first and -s_j
+    horner = [(c[::-1].tolist(), -s) for c, s in zip(axis_coeffs, rates)]
+
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
         val = 1.0
-        for j in range(dim):
-            val *= float(axis_value(j, 0, x[j]))
+        for xj, (coeffs, neg_s) in zip(x.tolist(), horner):
+            p = 0.0
+            for c in coeffs:
+                p = c + p * xj
+            val *= p * math.exp(neg_s * xj)
         return val
 
     def deriv(points):

@@ -27,10 +27,12 @@ def apply_multiplier(a: CoefficientField, factors: np.ndarray) -> CoefficientFie
 
 def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
     """Coefficients of E^N f: entry at n scaled by |n|^N (0^0 = 1, so N = 0
-    is the identity)."""
+    is the identity; 0^N and 1^N are exact for every N)."""
     N = _check_count(N, "operator power must be a nonnegative integer")
 
     def power(m):
+        if m <= 1:  # exact integer power, where float(m) ** N would overflow converting N
+            return float(m**N)
         try:
             return float(m) ** N
         except OverflowError:  # the coefficient check rejects it as non-finite

@@ -76,21 +76,29 @@ MAX_GRID_POINTS = 2**24  # cap on the nodes of a K^d tensor grid (128 MiB per co
 def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndarray:
     """The evaluator at every node of the d-fold tensor grid, as a (K,)*d array.
 
-    One call per node, in lexicographic node order; a non-finite value raises
-    DomainError naming its node, the only report (NumPy's overflow and
-    invalid-value warnings are off while the evaluator runs).  A grid of more
-    than MAX_GRID_POINTS nodes is a DomainError, raised before any work.
+    One call per node, in lexicographic node order.  Each call gets a
+    read-only row view of one (K^(d-1), d) block of nodes, built once per
+    node of the first axis.  A non-finite value raises DomainError naming its
+    node, the only report (NumPy's overflow and invalid-value warnings are
+    off while the evaluator runs).  A grid of more than MAX_GRID_POINTS nodes
+    is a DomainError, raised before any work.
     """
     if (size := nodes.size ** d) > MAX_GRID_POINTS:
         raise DomainError(f"a {nodes.size}-node rule in dimension {d} makes a grid of {size} points,"
                           f" above the cap of {MAX_GRID_POINTS}")
-    values = np.empty(size)
+    tail = np.array(list(product(nodes.tolist(), repeat=d - 1)), dtype=float)  # (K^(d-1), d-1)
+    values = np.empty((nodes.size, tail.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(product(nodes.tolist(), repeat=d)):
-            val = float(evaluator(np.array(x)))
-            if not math.isfinite(val):
-                raise DomainError(f"non-finite integrand value {val!r} at node {x}")
-            values[i] = val
+        for x0, out in zip(nodes.tolist(), values):
+            block = np.empty((tail.shape[0], d))
+            block[:, 0] = x0
+            block[:, 1:] = tail
+            block.flags.writeable = False
+            for i, x in enumerate(block):
+                val = float(evaluator(x))
+                if not math.isfinite(val):
+                    raise DomainError(f"non-finite integrand value {val!r} at node {tuple(x.tolist())}")
+                out[i] = val
     return values.reshape((nodes.size,) * d)
 
 

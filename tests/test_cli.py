@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orthlag.analysis import MAX_ETA_POWERS
+from orthlag.analysis import MAX_ETA_POWERS, MAX_ETA_WORK
 from orthlag.cli import build_parser, main
 from orthlag.core import DomainError
 from orthlag.transform import read_coefficients, write_coefficients
-from orthlag.transform import CoefficientField
+from orthlag.transform import CoefficientField, synthesize
 
 
 def run(capsys, *argv):
@@ -236,6 +236,27 @@ class TestSynthesize:
         assert not (tmp_path / "v.csv").exists()
 
 
+def former_synthesize_rows(pts, vals):
+    """The former per-element formatting of `synthesize` rows, kept as the reference."""
+    return [",".join(repr(float(c)) for c in row) + "," + repr(float(v)) for row, v in zip(pts, vals)]
+
+
+def test_synthesize_rows_match_the_former_formatting(tmp_path, capsys):
+    a = CoefficientField(2, "total", 3, {(0, 0): 1.0, (1, 2): -0.5, (3, 0): 0.25, (2, 0): 1e-310})
+    coeffs, pts_path, out = tmp_path / "a.txt", tmp_path / "pts.csv", tmp_path / "v.csv"
+    write_coefficients(a, coeffs)
+    pts = np.random.default_rng(11).exponential(4.0, size=(300, 2))
+    pts[:4] = [[-0.0, 1.0], [5e-324, 2.5e-310], [1e300, 0.0], [0.1, 1e-5]]
+    pts_path.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    code, _, err = run(capsys, "synthesize", "--in", str(coeffs), "--points", str(pts_path),
+                       "--out", str(out))
+    assert code == 0 and err == ""
+    pts = np.loadtxt(pts_path, delimiter=",", ndmin=2)
+    want = "\n".join(["x1,x2,value", *former_synthesize_rows(pts, synthesize(a, pts))]) + "\n"
+    assert out.read_bytes() == want.encode()
+    assert "-0.0,1.0," in want and "5e-324,2.5e-310," in want and "1e+300,0.0," in want
+
+
 class TestOperatorAndPropagate:
     def make_unit(self, tmp_path, n=(2, 3)):
         a = CoefficientField(len(n), "total", sum(n), {tuple(n): 1.0})
@@ -440,6 +461,25 @@ class TestMalformedCoefficientFiles:
         code, _, err = run(capsys, "operator", "apply", "--power", "800",
                            "--in", str(path), "--out", str(tmp_path / "o.txt"))
         assert code == 2 and "not finite" in err
+
+    def test_power_of_400_digits_on_shells_zero_and_one(self, tmp_path, capsys):
+        path, out = tmp_path / "a.txt", tmp_path / "o.txt"
+        path.write_text(self.HEADER + "0,2.0\n1,1.0\n")
+        code, _, err = run(capsys, "operator", "apply", "--power", "9" * 400,
+                           "--in", str(path), "--out", str(out))
+        assert code == 0 and err == ""
+        assert read_coefficients(out).values.tolist() == [0.0, 1.0]
+
+    def test_eta_beyond_the_work_cap(self, tmp_path, capsys):
+        # 256 terms: N_max = 2^18 is within MAX_ETA_POWERS, its work is one past the cap
+        path = tmp_path / "a.txt"
+        path.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 255\n"
+                        + "".join(f"{n},{0.5 ** n!r}\n" for n in range(256)))
+        nmax = MAX_ETA_WORK // 256 + 1
+        assert nmax <= MAX_ETA_POWERS
+        code, out, err = run(capsys, "eta", "--in", str(path), "--alpha", "1", "--h", "1",
+                             "--nmax", str(nmax))
+        assert code == 2 and out == "" and err.count("\n") == 1 and "above the cap" in err
 
 
 GEOMETRIC_FILE = "dim: 1\ntruncation_kind: total\ntruncation_degree: 8\n" + "".join(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orthlag.analysis import MAX_ETA_POWERS, SpaceParams, eta_seminorm, gtype_seminorm
+from orthlag.analysis import MAX_ETA_POWERS, MAX_ETA_WORK, SpaceParams, eta_seminorm, gtype_seminorm
 from orthlag.core import (
     DomainError,
     laguerre_fn_derivative_sweep,
@@ -94,6 +94,19 @@ def test_counts_above_the_upper_bound_are_one_line_domain_errors(name):
 def test_counts_at_the_upper_bound_are_accepted(name):
     call, cap = BOUNDED[name]
     call(cap)
+
+
+def test_eta_work_cap_on_both_sides():
+    # 2^13 terms: N_max = 2^13 makes exactly MAX_ETA_WORK iterate-norm terms
+    terms = 2**13
+    a = CoefficientField._from_arrays(1, "total", terms - 1, np.arange(terms)[:, None],
+                                      0.5 ** np.arange(terms, dtype=float))
+    nmax = MAX_ETA_WORK // terms
+    assert nmax * terms == MAX_ETA_WORK and nmax < MAX_ETA_POWERS
+    with pytest.raises(DomainError, match=f"above the cap of {MAX_ETA_WORK}") as err:
+        eta_seminorm(a, PARAMS, nmax + 1)
+    assert "\n" not in str(err.value)
+    assert eta_seminorm(a, PARAMS, nmax).argmax >= 1
 
 
 class TestFormerlyAccepted:

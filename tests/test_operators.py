@@ -87,6 +87,20 @@ class TestSpectral:
         with pytest.raises(DomainError):
             apply_E_spectral(unit_field((1,)), -1)
 
+    def test_shells_zero_and_one_are_exact_at_any_power(self):
+        # 10**400 overflowed converting N to float, and every shell became inf
+        a = CoefficientField(1, "total", 1, {(0,): 2.0, (1,): 1.0})
+        for N in (1, 2**53, 10**400):
+            assert apply_E_spectral(a, N).values.tolist() == [0.0, 1.0]
+        assert apply_E_spectral(a, 0).values.tolist() == [2.0, 1.0]
+
+    def test_other_shells_keep_the_float_power(self):
+        rng = np.random.default_rng(3)
+        a = random_field(rng, 2, 6)
+        for N in (0, 1, 3, 17):
+            want = [c * float(sum(n)) ** N for n, c in zip(a.index.tolist(), a.values.tolist())]
+            assert apply_E_spectral(a, N).values.tolist() == want
+
 
 def per_entry_reference(a, factor):
     """The former per-entry multiplier: factor(|n|) * v for each stored

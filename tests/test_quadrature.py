@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from orthlag.core import DomainError, laguerre_fn_sweep
 from orthlag.quadrature import (
+    _node_grid_values,
     default_rule_size,
     gauss_laguerre_rule,
     integrate_orthant,
@@ -156,6 +158,58 @@ class TestIntegrateOrthant:
         terms = [w[i] * w[j] * f(np.array([rule.nodes[i], rule.nodes[j]]))
                  for j in range(rule.size) for i in range(rule.size)]
         assert first == math.fsum(terms)
+
+
+class TestNodeGrid:
+    """`_node_grid_values` hands the evaluator one read-only row per node."""
+
+    NODES = gauss_laguerre_rule(5).nodes
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_call_per_node_in_product_order(self, d):
+        seen = []
+
+        def record(x):
+            seen.append(tuple(x.tolist()))
+            return float(len(seen))
+
+        values = _node_grid_values(record, self.NODES, d)
+        assert seen == list(product(self.NODES.tolist(), repeat=d))
+        assert values.shape == (5,) * d
+        assert values.ravel().tolist() == [float(i + 1) for i in range(5 ** d)]
+
+    def test_an_evaluator_that_writes_into_its_argument_raises(self):
+        def write(x):
+            x[0] = 0.0
+            return 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            _node_grid_values(write, self.NODES, 2)
+
+    def test_a_refused_write_does_not_corrupt_later_nodes(self):
+        seen = []
+
+        def try_to_write(x):
+            with pytest.raises(ValueError, match="read-only"):
+                x *= 2.0
+            seen.append(tuple(x.tolist()))
+            return 1.0
+
+        _node_grid_values(try_to_write, self.NODES, 3)
+        assert seen == list(product(self.NODES.tolist(), repeat=3))
+
+    def test_the_first_non_finite_node_is_named_as_a_tuple_of_floats(self):
+        calls = []
+
+        def blow_up(x):
+            calls.append(x)
+            return math.inf if x[1] > 1.0 else 1.0
+
+        first = next(x for x in product(self.NODES.tolist(), repeat=2) if x[1] > 1.0)
+        with pytest.raises(DomainError) as err:
+            _node_grid_values(blow_up, self.NODES, 2)
+        assert str(err.value) == f"non-finite integrand value inf at node {first}"
+        assert len(calls) == list(product(self.NODES.tolist(), repeat=2)).index(first) + 1
 
 
 def test_default_rule_size_margin():

@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 usage/parse error, 2 domain error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -24,7 +23,7 @@ from .analysis import (
 from .core import TRUNCATION_KINDS, DomainError, exp_or_inf
 from .fields import field_by_name
 from .operators import apply_E_spectral, semigroup_propagate
-from .quadrature import default_rule_size, gauss_laguerre_rule
+from .quadrature import MAX_RULE_SIZE, default_rule_size, gauss_laguerre_rule
 from .transform import analyze, as_scalar_field, read_coefficients, synthesize, write_coefficients
 from .verify import SUITES, format_report, run_suite
 
@@ -128,6 +127,12 @@ def cmd_analyze(args) -> int:
         f = as_scalar_field(a)
     # a rule too small for the degree is analyze's domain error
     rule = gauss_laguerre_rule(default_rule_size(args.degree) if args.nodes is None else args.nodes)
+    if args.coeffs_in is not None and rule.size > args.degree:
+        # exact while n_j + m_j <= 2K - 1 on every axis, where m_j <= degree
+        if (need := (int(a.index.max(initial=0)) + args.degree + 2) // 2) > rule.size:
+            raise DomainError(f"a {rule.size}-node rule aliases {args.coeffs_in} at degree {args.degree}:"
+                              f" exact needs at least {need} nodes (max n_j + degree <= 2K - 1)"
+                              + (f", above the cap of {MAX_RULE_SIZE}" if need > MAX_RULE_SIZE else ""))
     write_coefficients(analyze(f, args.degree, rule, kind=args.truncation), args.out)
     return EXIT_OK
 
@@ -160,15 +165,9 @@ def cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def _parse_norm_index(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
-
-
 def cmd_norms(args) -> int:
     a = read_coefficients(args.coeffs_in)
-    p = _parse_norm_index(args.p)
+    p = float(args.p)  # accepts inf and infinity in any case, and surrounding spaces
     log_val = log_weighted_seq_norm(a, SpaceParams(alpha=args.alpha, scale=args.h), p)
     print(f"alpha: {args.alpha!r}")
     print(f"h: {args.h!r}")

@@ -5,10 +5,12 @@ with polynomial P_j and rate s_j > 0.  Differentiation stays in the class
 (D(P e^{-sx}) = (P' - sP) e^{-sx}), which supplies the exact per-axis first
 and second derivatives that the pointwise form of the operator uses.
 
-The one-point `evaluator` runs on Python floats: per axis, a Horner loop with
-the operations of `npoly.polyval` in its order (so the polynomial factor is
-the same to the bit), times `math.exp(-s_j x_j)`, which may differ from
-`np.exp` in the last bit.  `deriv` stays vectorized over (npts, d) points.
+Each distinct axis keeps one table: the polynomial factors of the value and
+of its first two derivatives, highest power first, and -s_j.  Both the
+one-point `evaluator` (Python floats, `math.exp`) and `deriv` ((npts, d)
+arrays, `np.exp`) read it by Horner with `npoly.polyval`'s operations in its
+order, so each polynomial factor is polyval's to the bit; `math.exp` may
+differ from `np.exp` in the last bit.
 
 Registry names accepted by the CLI:
   exp-decay            e^{-sum x_j}
@@ -19,6 +21,7 @@ Registry names accepted by the CLI:
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -36,7 +39,6 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
     per axis; `rates` the per-axis exponential rates.  The evaluator takes
     one point of the orthant as a 1-D array.
     """
-    axis_coeffs = [np.asarray(c, dtype=float) for c in axis_coeffs]
     rates = [float(s) for s in rates]
     if len(axis_coeffs) != len(rates):
         raise DomainError("need one rate per axis")
@@ -46,25 +48,20 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
         raise DomainError("exponential rates must be positive")
     dim = len(rates)
 
-    def d_coeffs(coeffs, s):
-        # coefficients of d/dx (P e^{-sx}) / e^{-sx} = P' - sP
-        return npoly.polysub(npoly.polyder(coeffs), s * coeffs)
-
-    # per axis, the polynomial factors of the value and the first two derivatives
-    axis_derivs = []
+    # per distinct axis one table: the polynomial factors of the value and of
+    # the first two derivatives, each highest power first, and -s_j
+    tables, axes = {}, []
     for c, s in zip(axis_coeffs, rates):
-        d1 = d_coeffs(c, s)
-        axis_derivs.append((c, d1, d_coeffs(d1, s)))
-
-    def axis_value(j, order, xj):
-        return npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj)
-
-    # per axis, the coefficients highest power first and -s_j
-    horner = [(c[::-1].tolist(), -s) for c, s in zip(axis_coeffs, rates)]
+        polys = [np.asarray(c, dtype=float)]
+        if (key := (polys[0].tobytes(), s)) not in tables:
+            for _ in range(2):  # d/dx (P e^{-sx}) / e^{-sx} = P' - sP
+                polys.append(npoly.polysub(npoly.polyder(polys[-1]), s * polys[-1]))
+            tables[key] = (*(p[::-1].tolist() for p in polys), -s)
+        axes.append(tables[key])
 
     def evaluator(x):
         val = 1.0
-        for xj, (coeffs, neg_s) in zip(x.tolist(), horner):
+        for xj, (coeffs, _, _, neg_s) in zip(x.tolist(), axes):
             p = 0.0
             for c in coeffs:
                 p = c + p * xj
@@ -73,7 +70,9 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
 
     def deriv(points):
         pts = _validate_points(points, dim)
-        vals, d1s, d2s = ([axis_value(j, order, pts[:, j]) for j in range(dim)] for order in range(3))
+        # per axis, each polynomial of its table by Horner, times e^{-s_j x_j}
+        vals, d1s, d2s = zip(*([reduce(lambda p, c: c + p * xj, coeffs, 0.0) * np.exp(neg_s * xj)
+                                for coeffs in polys] for xj, (*polys, neg_s) in zip(pts.T, axes)))
         total = math.prod(vals)
         rests = [math.prod(vals[:j] + vals[j + 1:]) for j in range(dim)]
         return [(total, d1 * rest, d2 * rest) for d1, d2, rest in zip(d1s, d2s, rests)]

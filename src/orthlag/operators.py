@@ -75,16 +75,20 @@ def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, 
 
     Terms with a_n = 0 or a zero weight (w_m = -inf) are left out.  log|a_n|
     comes from `math.log`, once per field, so results match the scalar
-    formula bit for bit."""
+    formula bit for bit.  Where p times the largest log leaves binary64, the
+    logs are shifted by that largest log before they are scaled by p."""
     log_abs, shell_of = a._log_abs
     logs = log_abs + shell_log_weights[shell_of]
     logs = logs[logs > -math.inf]
     if logs.size == 0:
         return -math.inf
-    if math.isinf(p):
-        return float(logs.max())
+    top = float(logs.max())
+    if math.isinf(p) or top == math.inf:
+        return top
     with np.errstate(over="ignore"):
-        return _logsumexp(p * logs) / p
+        if math.isfinite(p * top):
+            return _logsumexp(p * logs) / p
+        return top + _logsumexp(p * (logs - top)) / p
 
 
 MAX_OPERATOR_POWER = 2**53  # the largest N that binary64 holds exactly

@@ -81,13 +81,15 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
     node of the first axis.  A non-finite value raises DomainError naming its
     node, the only report (NumPy's overflow and invalid-value warnings are
     off while the evaluator runs).  A grid of more than MAX_GRID_POINTS nodes
-    is a DomainError, raised before any work.
+    is a DomainError, raised before any work; past 24 axes of 2+ nodes the
+    error names the size as K^d, without forming that number.
     """
-    if (size := nodes.size ** d) > MAX_GRID_POINTS:
-        raise DomainError(f"a {nodes.size}-node rule in dimension {d} makes a grid of {size} points,"
-                          f" above the cap of {MAX_GRID_POINTS}")
+    K = nodes.size
+    if (over := K > 1 and d > 24) or K**d > MAX_GRID_POINTS:
+        raise DomainError(f"a {K}-node rule in dimension {d} makes a grid of {f'{K}^{d}' if over else K**d}"
+                          f" points, above the cap of {MAX_GRID_POINTS}")
     tail = np.array(list(product(nodes.tolist(), repeat=d - 1)), dtype=float)  # (K^(d-1), d-1)
-    values = np.empty((nodes.size, tail.shape[0]))
+    values = np.empty((K, tail.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         for x0, out in zip(nodes.tolist(), values):
             block = np.empty((tail.shape[0], d))
@@ -99,7 +101,7 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
                 if not math.isfinite(val):
                     raise DomainError(f"non-finite integrand value {val!r} at node {tuple(x.tolist())}")
                 out[i] = val
-    return values.reshape((nodes.size,) * d)
+    return values.reshape((K,) * d)
 
 
 def integrate_orthant(f: Callable, rule: QuadratureRule, d: int = 1) -> float:

@@ -1,6 +1,9 @@
 """Self-check suite: the library's invariants evaluated at fixed seeds, with
 measured versus allowed tolerances.  Exposed through the `verify` CLI
 subcommand so the checks are user-runnable on any install.
+
+A check returns (name, measured, allowed), or a list of these; `run_suite`
+passes it when measured <= allowed, under the `SUITES` key it is listed in.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ class CheckResult:
     passed: bool
 
 
-def _check(suite, name, measured, allowed):
-    return CheckResult(suite, name, float(measured), float(allowed), bool(measured <= allowed))
-
-
 def _random_field(rng, dim, degree):
     index = truncation_index("total", dim, degree)
     values = rng.uniform(-1.0, 1.0, size=len(index))  # the same draws as one call per term
@@ -42,7 +41,7 @@ def check_recurrence_consistency():
         for j in range(1, 60):
             resid = abs((j + 1) * l[j + 1] - (2 * j + 1 - x) * l[j] + j * l[j - 1])
             worst = max(worst, resid / max(1.0, abs(l[j])))
-    return _check("core", "three-term recurrence residual", worst, 1e-12)
+    return "three-term recurrence residual", worst, 1e-12
 
 
 def _unit_field(n):
@@ -54,7 +53,7 @@ def check_boundary_values():
     worst = 0.0
     for n in [(0,), (5,), (17,), (2, 3), (0, 7, 4)]:
         worst = max(worst, abs(transform.synthesize(_unit_field(n), np.zeros((1, len(n))))[0] - 1.0))
-    return _check("core", "value 1 at the orthant corner", worst, 1e-13)
+    return "value 1 at the orthant corner", worst, 1e-13
 
 
 def check_ode_residual():
@@ -64,7 +63,7 @@ def check_ode_residual():
     for j in range(41):
         resid = xs * ddl[j] + dl[j] - (xs / 4.0) * l[j] + 0.5 * l[j] + j * l[j]
         worst = max(worst, float(np.max(np.abs(resid))))
-    return _check("core", "eigen-ODE pointwise residual (j <= 40)", worst, 1e-8)
+    return "eigen-ODE pointwise residual (j <= 40)", worst, 1e-8
 
 
 def check_tensor_factorization():
@@ -77,7 +76,7 @@ def check_tensor_factorization():
         for nj, xj in zip(n, x):
             prod *= laguerre_fn_sweep(nj, xj)[nj, 0]
         worst = max(worst, abs(transform.synthesize(_unit_field(n), x[None, :])[0] - prod))
-    return _check("core", "tensor-product factorization", worst, 1e-14)
+    return "tensor-product factorization", worst, 1e-14
 
 
 # --- quadrature ------------------------------------------------------------
@@ -89,7 +88,7 @@ def check_moment_exactness():
         for m in range(2 * K):
             approx = float(np.sum(rule.weights * rule.nodes ** m))
             worst = max(worst, abs(approx - math.factorial(m)) / math.factorial(m))
-    return _check("quadrature", "moment exactness m <= 2K-1", worst, 1e-10)
+    return "moment exactness m <= 2K-1", worst, 1e-10
 
 
 def check_weight_sum():
@@ -97,7 +96,7 @@ def check_weight_sum():
     for K in (1, 8, 64, 256):
         rule = quadrature.gauss_laguerre_rule(K)
         worst = max(worst, abs(float(np.sum(rule.weights)) - 1.0))
-    return _check("quadrature", "weights sum to 1", worst, 1e-13)
+    return "weights sum to 1", worst, 1e-13
 
 
 def check_gram_identity():
@@ -105,7 +104,7 @@ def check_gram_identity():
     V = laguerre_fn_sweep(32, rule.nodes)
     G = (V * rule.modified_weights) @ V.T
     worst = float(np.max(np.abs(G - np.eye(33))))
-    return _check("quadrature", "Gram matrix vs identity (M = 32)", worst, 1e-10)
+    return "Gram matrix vs identity (M = 32)", worst, 1e-10
 
 
 def check_log_space_moments():
@@ -119,7 +118,7 @@ def check_log_space_moments():
         exact = math.lgamma(m + 1)
         err = abs(operators._logsumexp(log_w + m * log_x) - exact) / max(1.0, exact)
         worst = max(worst, err)
-    return _check("quadrature", f"log-space moments m <= 2K-1 (K = {K})", worst, 1e-12)
+    return f"log-space moments m <= 2K-1 (K = {K})", worst, 1e-12
 
 
 # --- transform ---------------------------------------------------------------
@@ -135,10 +134,7 @@ def check_exp_decay_coefficients():
         abs(a2.get(n) - (2.0 / 3.0) ** 2 * (1.0 / 3.0) ** sum(n))
         for n in truncation_index("total", 2, 12).tolist()
     )
-    return [
-        _check("transform", "e^{-x} coefficients (1-D)", worst1, 1e-10),
-        _check("transform", "e^{-x1-x2} coefficients (2-D)", worst2, 1e-9),
-    ]
+    return [("e^{-x} coefficients (1-D)", worst1, 1e-10), ("e^{-x1-x2} coefficients (2-D)", worst2, 1e-9)]
 
 
 def check_parseval():
@@ -147,7 +143,7 @@ def check_parseval():
     a = transform.analyze(f, 40, rule)
     sq = quadrature.integrate_orthant(lambda x: f.evaluator(x) ** 2, rule, 1)
     gap = abs(transform.parseval_l2_norm(a) ** 2 - sq)
-    return _check("transform", "Parseval vs quadrature of f^2", gap, 1e-12)
+    return "Parseval vs quadrature of f^2", gap, 1e-12
 
 
 def check_linearity():
@@ -162,7 +158,7 @@ def check_linearity():
     ag = transform.analyze(g, 20, rule)
     ac = transform.analyze(combo, 20, rule)
     worst = float(np.max(np.abs(ac.values - (alpha * af.values + beta * ag.values))))
-    return _check("transform", "analyze linearity", worst, 1e-12)
+    return "analyze linearity", worst, 1e-12
 
 
 def check_roundtrip():
@@ -172,7 +168,7 @@ def check_roundtrip():
     fa = transform.as_scalar_field(a)
     back = transform.analyze(fa, 20, rule)
     worst = float(np.max(np.abs(back.values - a.values)))
-    return _check("transform", "analyze(synthesize(a)) roundtrip", worst, 1e-10)
+    return "analyze(synthesize(a)) roundtrip", worst, 1e-10
 
 
 # --- operator ----------------------------------------------------------------
@@ -187,7 +183,7 @@ def check_spectral_pointwise():
         pointwise = operators.apply_E_pointwise(transform.as_scalar_field(a), pts)
         spectral = transform.synthesize(operators.apply_E_spectral(a, 1), pts)
         worst = max(worst, float(np.max(np.abs(pointwise - spectral))))
-    return _check("operator", "pointwise vs spectral application", worst, 1e-7)
+    return "pointwise vs spectral application", worst, 1e-7
 
 
 def _max_rel_gap(one, two):
@@ -204,7 +200,7 @@ def check_semigroup_law():
         one = operators.semigroup_propagate(operators.semigroup_propagate(a, s), t)
         two = operators.semigroup_propagate(a, s + t)
         worst = max(worst, _max_rel_gap(one, two))
-    return _check("operator", "semigroup law e^{-sE} e^{-tE} = e^{-(s+t)E}", worst, 1e-13)
+    return "semigroup law e^{-sE} e^{-tE} = e^{-(s+t)E}", worst, 1e-13
 
 
 def check_commutation():
@@ -217,7 +213,7 @@ def check_commutation():
         one = operators.apply_E_spectral(operators.semigroup_propagate(a, t), N)
         two = operators.semigroup_propagate(operators.apply_E_spectral(a, N), t)
         worst = max(worst, _max_rel_gap(one, two))
-    return _check("operator", "iterates commute with the semigroup", worst, 1e-13)
+    return "iterates commute with the semigroup", worst, 1e-13
 
 
 def check_iterate_norm_logspace():
@@ -232,7 +228,7 @@ def check_iterate_norm_logspace():
             )
             val = exp_or_inf(operators.log_iterate_norm(a, N))
             worst = max(worst, abs(val - naive) / max(naive, 1e-300))
-    return _check("operator", "log-space iterate norm vs naive sum", worst, 1e-10)
+    return "log-space iterate norm vs naive sum", worst, 1e-10
 
 
 # --- analysis ----------------------------------------------------------------
@@ -240,13 +236,13 @@ def check_iterate_norm_logspace():
 def check_eta_eigenfunction():
     worst = 0.0
     for p in (1, 3, 7):
-        a = transform.CoefficientField(1, "total", p, {(p,): 1.0})
+        a = _unit_field((p,))
         for h in (0.5, 1.0, 2.0):
             for alpha in (0.5, 1.0, 2.0):
                 res = analysis.eta_seminorm(a, analysis.SpaceParams(alpha, h), 60)
                 direct = max((p / h) ** N / math.factorial(N) ** alpha for N in range(1, 61))
                 worst = max(worst, abs(res.value - direct) / direct)
-    return _check("analysis", "eigenfunction ratio formula", worst, 1e-12)
+    return "eigenfunction ratio formula", worst, 1e-12
 
 
 def check_eta_monotonicity():
@@ -260,7 +256,7 @@ def check_eta_monotonicity():
         e_big_al = analysis.eta_seminorm(a, analysis.SpaceParams(2.0, 1.0), 30).value
         if e_big_h > e_small_h or e_big_al > e_small_al:
             bad += 1.0
-    return _check("analysis", "eta nonincreasing in h and alpha", bad, 0.0)
+    return "eta nonincreasing in h and alpha", bad, 0.0
 
 
 def check_norm_ordering():
@@ -272,7 +268,7 @@ def check_norm_ordering():
         n_inf, n_2, n_1 = (exp_or_inf(analysis.log_weighted_seq_norm(a, params, p)) for p in (math.inf, 2, 1))
         if not (n_inf <= n_2 <= n_1):
             bad += 1.0
-    return _check("analysis", "weighted norm ordering linf <= l2 <= l1", bad, 0.0)
+    return "weighted norm ordering linf <= l2 <= l1", bad, 0.0
 
 
 def check_equivalence_bound():
@@ -282,7 +278,7 @@ def check_equivalence_bound():
         a = _random_field(rng, 1, 20)
         rep = analysis.norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1.0)
         worst = max(worst, rep.ratio / rep.constant)
-    return _check("analysis", "norm-equivalence ratio within constant", worst, 1.0)
+    return "norm-equivalence ratio within constant", worst, 1.0
 
 
 def check_decay_fit():
@@ -298,7 +294,7 @@ def check_decay_fit():
             worst_t = max(worst_t, abs(fit.exponent - t_true))
             worst_c = max(worst_c, abs(fit.c_hat - c_true))
     measured = max(worst_t / 0.03, worst_c / 0.05)
-    return _check("analysis", "decay fit recovers (c, t)", measured, 1.0)
+    return "decay fit recovers (c, t)", measured, 1.0
 
 
 def check_classifier_scaling():
@@ -306,7 +302,7 @@ def check_classifier_scaling():
     a = transform.CoefficientField(1, "total", 200, entries)
     scaled = a.with_values(-137.5 * a.values)
     same = analysis.classify_membership(a, 2.0).verdict == analysis.classify_membership(scaled, 2.0).verdict
-    return _check("analysis", "classifier scale invariance", 0.0 if same else 1.0, 0.0)
+    return "classifier scale invariance", 0.0 if same else 1.0, 0.0
 
 
 SUITES = {
@@ -346,19 +342,17 @@ SUITES = {
 
 
 def run_suite(name: str = "all") -> list[CheckResult]:
-    if name == "all":
-        checks = [fn for suite in SUITES.values() for fn in suite]
-    elif name in SUITES:
-        checks = SUITES[name]
-    else:
+    """The results of one suite's checks, or of every suite's for "all"."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {['all', *SUITES]}")
+    suites = SUITES if name == "all" else {name: SUITES[name]}
     results = []
-    for fn in checks:
-        out = fn()
-        if isinstance(out, list):
-            results.extend(out)
-        else:
-            results.append(out)
+    for suite, checks in suites.items():
+        for fn in checks:
+            out = fn()
+            for check, measured, allowed in out if isinstance(out, list) else [out]:
+                results.append(CheckResult(suite, check, float(measured), float(allowed),
+                                           bool(measured <= allowed)))
     return results
 
 

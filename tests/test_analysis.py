@@ -133,13 +133,24 @@ class TestWeightedSeqNorm:
         assert log_weighted_seq_norm(a, params, 1) == pytest.approx(
             math.log(1e308) + math.log1p(math.e), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1e303, 1e306, sys.float_info.max])
+    def test_huge_p_keeps_the_log_finite(self, p):
+        # p * log leaves binary64, above (h = 1e7) and below (a_0 = 1e-300) zero
+        for entries, h in (({(0,): 1.0, (3,): 0.5}, 1e7), ({(0,): 1e-300}, 1.0)):
+            a = CoefficientField(1, "total", 3, entries)
+            params = SpaceParams(1.0, h)
+            sup = log_weighted_seq_norm(a, params, math.inf)
+            assert math.isfinite(sup)
+            assert log_weighted_seq_norm(a, params, p) == pytest.approx(sup, rel=1e-15)
+
     def test_tiny_alpha_weight_overflows_to_inf(self):
         params = SpaceParams(1e-5, 1.0)
         assert log_theta_weight(3, params) == math.inf
         assert exp_or_inf(log_theta_weight(3, params)) == math.inf
         a = CoefficientField(1, "total", 3, {(0,): 1.0, (3,): 0.5})
-        for p in (1, 2, math.inf):
-            assert seq_norm(a, params, p) == math.inf
+        for p in (1, 2, math.inf):  # the log itself leaves binary64
+            with pytest.raises(DomainError, match="beyond binary64"):
+                log_weighted_seq_norm(a, params, p)
 
 
 class TestNormEquivalence:

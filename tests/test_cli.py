@@ -184,6 +184,69 @@ class TestInputSizedAllocations:
         assert f"grid of {26 ** 8} points, above the cap" in err
         assert not (tmp_path / "a.txt").exists()
 
+    @pytest.mark.parametrize("dim", [1000, 100000])
+    def test_analyze_at_a_huge_dimension(self, tmp_path, capsys, dim):
+        # 17^dim is not formed: past 24 axes of 2+ nodes the grid is past the cap
+        code, out, err = run(capsys, "analyze", "--fn", "exp-decay", "--dim", str(dim), "--degree", "1",
+                             "--out", str(tmp_path / "a.txt"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"grid of 17^{dim} points, above the cap" in err
+        assert not (tmp_path / "a.txt").exists()
+
+
+class TestAnalyzeCoeffsExactness:
+    """A K-node rule reprojects a coefficient file exactly only while
+    max n_j + degree <= 2K - 1; past that, analyze --coeffs is a domain error."""
+
+    ALIASING = "dim: 1\ntruncation_kind: total\ntruncation_degree: 400\n400,1.0\n"
+
+    def test_a_rule_that_would_alias_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "a.txt"
+        src.write_text(self.ALIASING)
+        for nodes in ([], ["--nodes", "205"]):
+            code, out, err = run(capsys, "analyze", "--coeffs", str(src), "--degree", "10",
+                                 "--out", str(tmp_path / "b.txt"), *nodes)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert "at least 206 nodes" in err and "cap" not in err
+            assert not (tmp_path / "b.txt").exists()
+
+    def test_the_smallest_exact_rule_projects_to_zero(self, tmp_path, capsys):
+        src, dst = tmp_path / "a.txt", tmp_path / "b.txt"
+        src.write_text(self.ALIASING)
+        code, _, err = run(capsys, "analyze", "--coeffs", str(src), "--degree", "10", "--nodes", "206",
+                           "--out", str(dst))
+        assert code == 0 and err == ""
+        b = read_coefficients(dst)
+        assert b.values.size == 11 and np.max(np.abs(b.values)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 2), kind=st.sampled_from(["total", "box"]), degree=st.integers(0, 12),
+           nodes=st.one_of(st.none(), st.integers(1, 40)),
+           terms=st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                                 st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    def test_whenever_the_guard_passes_the_output_is_the_restriction(self, dim, kind, degree, nodes, terms):
+        entries = {n[:dim]: v for n, v in terms.items()}
+        a = CoefficientField(dim, "total", max(sum(n) for n in entries), entries)
+        top = max(max(n) for n in entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            write_coefficients(a, src)
+            argv = ["analyze", "--coeffs", str(src), "--degree", str(degree), "--truncation", kind,
+                    "--out", str(dst)] + ([] if nodes is None else ["--nodes", str(nodes)])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            K = degree + 16 if nodes is None else nodes
+            if K < degree + 1:
+                assert code == 2 and "too small" in err.getvalue()
+            elif top + degree > 2 * K - 1:
+                assert code == 2 and f"at least {(top + degree + 2) // 2} nodes" in err.getvalue()
+            else:
+                assert code == 0
+                b = read_coefficients(dst)
+                want = np.array([a.get(n) for n in b.index.tolist()])
+                scale = max(np.max(np.abs(a.values)), 1e-300)
+                assert np.max(np.abs(b.values - want)) <= 1e-12 * scale
+
 
 class TestSynthesize:
     def test_roundtrip_values(self, tmp_path, capsys):
@@ -339,13 +402,13 @@ class TestNormsEtaClassify:
                                       "2": 0.5 * math.log1p(math.e ** 2), "inf": 1.0}[p]
         assert float(fields["log_norm"]) == pytest.approx(expected, rel=1e-15)
 
-    def test_norms_with_tiny_alpha_print_inf(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alpha", ["1e-5", "1e-300"])
+    def test_norms_with_tiny_alpha_is_a_domain_error(self, tmp_path, capsys, alpha):
+        # the weight's log is beyond binary64, so no log form holds the norm
         path = self.write_geometric(tmp_path, degree=3)
         code, out, err = run(capsys, "norms", "--in", str(path),
-                             "--alpha", "1e-5", "--h", "1.0", "--p", "1")
-        fields = dict(line.split(": ") for line in out.splitlines())
-        assert code == 0 and err == ""
-        assert fields["norm"] == "inf" and fields["log_norm"] == "inf"
+                             "--alpha", alpha, "--h", "1.0", "--p", "1")
+        assert code == 2 and out == "" and err.count("\n") == 1 and "beyond binary64" in err
 
     def test_eta_beyond_binary64_prints_inf(self, tmp_path, capsys):
         path = self.write_geometric(tmp_path, degree=3)
@@ -360,6 +423,30 @@ class TestNormsEtaClassify:
         code, _, _ = run(capsys, "norms", "--in", str(path),
                          "--alpha", "1.0", "--h", "1.0", "--p", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [" Infinity ", "INF", "inf", "oo"])
+    def test_norms_index_is_a_float(self, tmp_path, capsys, text):
+        path = self.write_geometric(tmp_path)
+        code, out, err = run(capsys, "norms", "--in", str(path), "--alpha", "1.0", "--h", "1.0", "--p", text)
+        if text == "oo":  # not a float: a usage error
+            assert code == 1 and out == "" and err.count("\n") == 1
+        else:
+            _, want, _ = run(capsys, "norms", "--in", str(path), "--alpha", "1.0", "--h", "1.0", "--p", "inf")
+            assert code == 0 and out == want.replace("p: inf", f"p: {text}")
+
+    @pytest.mark.parametrize("p", ["1e303", "1e308", "1.7976931348623157e308"])
+    def test_norms_at_a_huge_index_keep_a_finite_log(self, tmp_path, capsys, p):
+        # p * log overflows before the log-sum-exp; the shifted sum keeps the log
+        a = CoefficientField(1, "total", 3, {(0,): 1.0, (3,): 0.5})
+        path = tmp_path / "a.txt"
+        write_coefficients(a, path)
+        args = ("norms", "--in", str(path), "--alpha", "1.0", "--h", "1e7", "--p")
+        code, out, err = run(capsys, *args, p)
+        _, at_inf, _ = run(capsys, *args, "inf")
+        fields, sup = (dict(line.split(": ") for line in text.splitlines()) for text in (out, at_inf))
+        assert code == 0 and err == "" and fields["norm"] == "inf"
+        assert float(fields["log_norm"]) == pytest.approx(17320507.38254159, rel=1e-15)
+        assert float(fields["log_norm"]) == pytest.approx(float(sup["log_norm"]), rel=1e-15)
 
     def test_eta_output(self, tmp_path, capsys):
         a = CoefficientField(1, "total", 3, {(3,): 1.0})

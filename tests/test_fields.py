@@ -1,6 +1,8 @@
-"""The built-in fields' one-point evaluator against the former NumPy one."""
+"""The built-in fields' one-point evaluator against the former NumPy one, and
+their `deriv` against the former `npoly.polyval` one, bit for bit."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,3 +89,64 @@ def test_builtin_polynomial_factor_is_bit_identical(name, coeffs, rate, d):
     if d == 1:
         with np.errstate(over="ignore", invalid="ignore"):
             assert got.tobytes() == npoly.polyval(pts[:, 0], axis_coeffs[0]).tobytes()
+
+
+def reference_deriv(axis_coeffs, rates):
+    """The former `deriv` of `separable_poly_exp_field`, kept as the reference:
+    per axis and order, npoly.polyval of ascending coefficient arrays times np.exp."""
+    axis_coeffs = [np.asarray(c, dtype=float) for c in axis_coeffs]
+    rates = [float(s) for s in rates]
+    dim = len(rates)
+
+    def d_coeffs(coeffs, s):
+        return npoly.polysub(npoly.polyder(coeffs), s * coeffs)
+
+    axis_derivs = []
+    for c, s in zip(axis_coeffs, rates):
+        d1 = d_coeffs(c, s)
+        axis_derivs.append((c, d1, d_coeffs(d1, s)))
+
+    def axis_value(j, order, xj):
+        return npoly.polyval(xj, axis_derivs[j][order]) * np.exp(-rates[j] * xj)
+
+    def deriv(pts):
+        vals, d1s, d2s = ([axis_value(j, order, pts[:, j]) for j in range(dim)] for order in range(3))
+        total = math.prod(vals)
+        rests = [math.prod(vals[:j] + vals[j + 1:]) for j in range(dim)]
+        return [(total, d1 * rest, d2 * rest) for d1, d2, rest in zip(d1s, d2s, rests)]
+
+    return deriv
+
+
+def assert_same_deriv(got, want):
+    assert len(got) == len(want)
+    for got_axis, want_axis in zip(got, want):
+        for g, w in zip(got_axis, want_axis):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name,coeffs,rate,d", CASES)
+def test_builtin_deriv_is_bit_identical_to_polyval(name, coeffs, rate, d):
+    f = field_by_name(name, None if name.startswith("l:") else d)
+    pts = sample_points(d, seed=20 + d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_deriv(f.deriv(pts), reference_deriv(coeffs(d), [rate] * d)(pts))
+
+
+def test_axes_share_a_table_only_when_coefficients_and_rate_agree():
+    # axes 0 and 1 differ in the rate alone, axis 2 in the coefficients, axis 3 repeats axis 0
+    axis_coeffs, rates = [[1.0, -2.0, 0.5]] * 2 + [[3.0]] + [[1.0, -2.0, 0.5]], [0.5, 0.7, 0.5, 0.5]
+    f = separable_poly_exp_field(axis_coeffs, rates)
+    pts = sample_points(4, seed=30, n=2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_deriv(f.deriv(pts), reference_deriv(axis_coeffs, rates)(pts))
+        want = reference_evaluator(axis_coeffs, rates)
+        for x in pts[:200]:
+            assert f.evaluator(x) == pytest.approx(want(x), rel=16 * EPS, abs=1e-300)
+
+
+def test_a_field_of_many_equal_axes_builds_one_table():
+    t0 = time.perf_counter()
+    f = field_by_name("exp-decay", 10**5)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.dim == 10**5 and f.evaluator(np.zeros(10**5)) == 1.0

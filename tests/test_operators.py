@@ -256,7 +256,11 @@ class TestBitwiseAgainstSciPyNorm:
                 for h in (0.1, 1.0, 7.5, 50.0):
                     params = SpaceParams(alpha=alpha, scale=h)
                     want = reference_log_shell_weighted_norm(a, lambda m: log_theta_weight(m, params), p)
-                    assert same_bits(log_weighted_seq_norm(a, params, p), want), (p, alpha, h)
+                    if want == math.inf:  # a log beyond binary64 is a domain error
+                        with pytest.raises(DomainError, match="beyond binary64"):
+                            log_weighted_seq_norm(a, params, p)
+                    else:
+                        assert same_bits(log_weighted_seq_norm(a, params, p), want), (p, alpha, h)
 
     @pytest.mark.parametrize("a", reference_fields())
     def test_eta_seminorm(self, a):
@@ -265,6 +269,30 @@ class TestBitwiseAgainstSciPyNorm:
             r = eta_seminorm(a, params, N_max)
             log_value, argmax, growing = reference_eta(a, params, N_max)
             assert same_bits(r.log_value, log_value) and (r.argmax, r.growing) == (argmax, growing)
+
+
+    @pytest.mark.parametrize("a", [
+        CoefficientField(2, "total", 5,
+                         dict.fromkeys(map(tuple, truncation_index("total", 2, 5).tolist()), 0.0)),
+        CoefficientField(1, "total", 4, {(0,): -3.5}),
+    ], ids=["all-zero", "constant-only"])
+    def test_eta_seminorm_without_a_nonzero_iterate(self, a):
+        # every ||E^N f|| with N >= 1 is zero: every ratio is -inf, the first is reported
+        for N_max in (1, 2, 30):
+            r = eta_seminorm(a, SpaceParams(alpha=1.0, scale=2.0), N_max)
+            log_value, argmax, growing = reference_eta(a, SpaceParams(alpha=1.0, scale=2.0), N_max)
+            assert same_bits(r.log_value, log_value) and r.log_value == -math.inf
+            assert (r.argmax, r.growing) == (argmax, growing) == (1, False)
+
+    def test_eta_seminorm_rising_through_n_max(self):
+        # ratios 50^N / (N!)^{1/2} rise up to N = 2500
+        a = CoefficientField(1, "total", 50, {(50,): 1.0, (3,): -0.25})
+        params = SpaceParams(alpha=0.5, scale=1.0)
+        for N_max in (1, 2, 40):
+            r = eta_seminorm(a, params, N_max)
+            log_value, argmax, growing = reference_eta(a, params, N_max)
+            assert same_bits(r.log_value, log_value)
+            assert (r.argmax, r.growing) == (argmax, growing) == (N_max, N_max >= 2)
 
 
 class TestIterateWindow:

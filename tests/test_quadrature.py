@@ -148,6 +148,18 @@ class TestIntegrateOrthant:
         with pytest.raises(DomainError, match=f"grid of {64 ** 5} points, above the cap"):
             integrate_orthant(lambda x: 1.0, gauss_laguerre_rule(64), 5)
 
+    def test_a_grid_past_24_axes_is_named_without_its_count(self):
+        # K >= 2 nodes in d > 24 axes make more than 2^24 points: K^d is not formed
+        with pytest.raises(DomainError, match=r"grid of 2\^25 points, above the cap"):
+            integrate_orthant(lambda x: 1.0, gauss_laguerre_rule(2), 25)
+        with pytest.raises(DomainError, match=r"grid of 17\^3000000 points, above the cap"):
+            integrate_orthant(lambda x: 1.0, gauss_laguerre_rule(17), 3_000_000)
+        with pytest.raises(DomainError, match=f"grid of {3 ** 16} points, above the cap"):
+            integrate_orthant(lambda x: 1.0, gauss_laguerre_rule(3), 16)
+        # one node makes one point in any dimension
+        one_node = integrate_orthant(lambda x: float(x.size), gauss_laguerre_rule(1), 40)
+        assert one_node == pytest.approx(40 * math.e ** 40)
+
     def test_repeated_integral_is_bitwise_identical(self):
         rule = gauss_laguerre_rule(24)
         f = lambda x: math.sin(x[0]) * math.exp(-x[0] - x[1])

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DomainError, _check_count, exp_or_inf, truncation_index, truncation_shell_counts
-from .operators import log_iterate_norm, log_shell_weighted_norm
+from .operators import _log_norms, log_iterate_norm
 from .transform import CoefficientField
 
 
@@ -67,8 +67,8 @@ def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) ->
     if not p >= 1:  # nan too
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
-    shell_log_weights = np.array([log_theta_weight(m, params) for m in a._shells[0].tolist()], dtype=float)
-    if (log_norm := log_shell_weighted_norm(a, shell_log_weights, p)) == math.inf:
+    shell_log_weights = np.array([[log_theta_weight(m, params) for m in a._log_abs[2].tolist()]], dtype=float)
+    if (log_norm := float(_log_norms(a, shell_log_weights, p)[0])) == math.inf:
         raise DomainError(f"the weighted l^{p:g} norm is beyond binary64 even in log form"
                           f" at alpha={params.alpha}, h={params.scale}")
     return log_norm

@@ -23,7 +23,7 @@ from .analysis import (
 from .core import TRUNCATION_KINDS, DomainError, exp_or_inf
 from .fields import field_by_name
 from .operators import apply_E_spectral, semigroup_propagate
-from .quadrature import MAX_RULE_SIZE, default_rule_size, gauss_laguerre_rule
+from .quadrature import MAX_RULE_SIZE, _check_grid_size, default_rule_size, gauss_laguerre_rule
 from .transform import analyze, as_scalar_field, read_coefficients, synthesize, write_coefficients
 from .verify import SUITES, format_report, run_suite
 
@@ -118,15 +118,16 @@ def cmd_quad(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # a rule too small for the degree is analyze's domain error
+    rule = gauss_laguerre_rule(default_rule_size(args.degree) if args.nodes is None else args.nodes)
     if args.fn is not None:
+        _check_grid_size(rule.size, args.dim or 1)  # decided before the field is built
         f = field_by_name(args.fn, args.dim)
     else:
         a = read_coefficients(args.coeffs_in)
         if args.dim not in (None, a.dim):
             raise DomainError(f"--dim {args.dim} does not match the dimension {a.dim} of {args.coeffs_in}")
         f = as_scalar_field(a)
-    # a rule too small for the degree is analyze's domain error
-    rule = gauss_laguerre_rule(default_rule_size(args.degree) if args.nodes is None else args.nodes)
     if args.coeffs_in is not None and rule.size > args.degree:
         # exact while n_j + m_j <= 2K - 1 on every axis, where m_j <= degree
         if (need := (int(a.index.max(initial=0)) + args.degree + 2) // 2) > rule.size:
@@ -146,7 +147,11 @@ def cmd_synthesize(args) -> int:
         raise DomainError(f"points file {args.points} holds no points")
     if pts.shape[1] != a.dim:
         raise DomainError(f"points file has {pts.shape[1]} columns, expected {a.dim}")
-    vals = synthesize(a, pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is reported below
+        vals = synthesize(a, pts)
+    if (bad := np.flatnonzero(~np.isfinite(vals))).size:
+        raise DomainError(f"non-finite series value {float(vals[bad[0]])!r}"
+                          f" at point {tuple(pts[bad[0]].tolist())}")
     lines = [",".join(f"x{j + 1}" for j in range(a.dim)) + ",value"]
     lines += [",".join(map(repr, row + [v])) for row, v in zip(pts.tolist(), vals.tolist())]
     _emit("\n".join(lines) + "\n", args.out)

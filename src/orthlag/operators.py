@@ -68,23 +68,22 @@ def _logsumexp(x: np.ndarray):
     return out if x.ndim > 1 else float(out)
 
 
-def log_shell_weighted_norm(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> float:
-    """log of the l^p norm of {|a_n| e^{w_m}} over the stored terms, where
-    w_m = shell_log_weights[k] is the log weight of shell m = a._shells[0][k];
-    -inf when the norm is zero.
-
-    Terms with a_n = 0 or a zero weight (w_m = -inf) are left out.  log|a_n|
-    comes from `math.log`, once per field, so results match the scalar
-    formula bit for bit.  Where p times the largest log leaves binary64, the
-    logs are shifted by that largest log before they are scaled by p."""
-    log_abs, shell_of = a._log_abs
-    logs = log_abs + shell_log_weights[shell_of]
-    logs = logs[logs > -math.inf]
-    if logs.size == 0:
-        return -math.inf
-    top = float(logs.max())
-    if math.isinf(p) or top == math.inf:
-        return top
+def _log_norms(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> np.ndarray:
+    """log of the l^p norm of {|a_n| e^{w_m}} over the nonzero terms for each
+    row of the (rows, shells) log weights, w_m = row[k] at shell m =
+    a._log_abs[2][k]; -inf where the norm is zero.  The terms of the shells
+    where the first row is -inf are left out: every row must be -inf on the
+    same shells, so each row sums what its 1-D log-sum-exp sums, to the bit.
+    Where p times the largest log leaves binary64 the logs are shifted by it
+    before they are scaled, so with several rows p times every log must stay
+    in binary64 (as it does for the p = 2 rows of `log_iterate_norm`)."""
+    log_abs, shell_of, _ = a._log_abs
+    kept = shell_log_weights[0].take(shell_of) > -math.inf  # log|a_n| is finite
+    log_abs, shell_of = log_abs[kept], shell_of[kept]
+    logs = log_abs + shell_log_weights.take(shell_of, axis=1)  # C order, as take keeps it
+    top = logs.max(initial=-math.inf)
+    if math.isinf(p) or math.isinf(top):  # the sup norm, no terms, or a weight of inf
+        return logs.max(axis=1, initial=-math.inf)
     with np.errstate(over="ignore"):
         if math.isfinite(p * top):
             return _logsumexp(p * logs) / p
@@ -102,23 +101,20 @@ def log_iterate_norm(a: CoefficientField, N: int) -> float:
     `exp_or_inf` of the result is the norm, inf where it exceeds binary64.
 
     The field keeps the last window of B = max(1, ITERATE_WINDOW_VALUES //
-    terms) consecutive powers, computed at once from N on, so a run of calls
-    at N, N+1, ... costs one (B x terms) log-sum-exp per B powers.  Each
-    value is the per-N log-sum-exp to the bit."""
+    terms) consecutive powers (terms: a_n != 0 with |n| > 0), one `_log_norms`
+    call on the rows powers x math.log|n| from N on, so a run of calls at N,
+    N+1, ... costs one (B x terms) log-sum-exp per B powers.  Each value is
+    the per-N log-sum-exp to the bit."""
     N = _check_count(N, "operator power must be an integer in [0, 2^53]", hi=MAX_OPERATOR_POWER)
+    _, shell_of, shells = a._log_abs
     if N == 0:  # 0^0 = 1: every nonzero term, |n| = 0 included
-        log_abs = a._log_abs[0]
-        return _logsumexp(2 * log_abs) / 2 if log_abs.size else -math.inf
+        return float(_log_norms(a, np.zeros((1, shells.size)), 2)[0])
     start, window = getattr(a, "_iterate_window", (0, ()))
     if not start <= N < start + len(window):
-        log_abs, log_m = a._log_iterate_terms
-        if not log_abs.size:
-            return -math.inf
-        powers = N + np.arange(max(1, ITERATE_WINDOW_VALUES // log_abs.size), dtype=np.float64)
-        x = np.multiply.outer(powers, log_m)
-        x += log_abs
-        x *= 2
-        start, window = a._iterate_window = N, _logsumexp(x) / 2
+        log_m = np.array([math.log(m) if m else -math.inf for m in shells.tolist()])
+        B = max(1, ITERATE_WINDOW_VALUES // max(1, np.count_nonzero(shells[shell_of])))
+        powers = N + np.arange(B, dtype=np.float64)
+        start, window = a._iterate_window = N, _log_norms(a, np.multiply.outer(powers, log_m), 2)
     return float(window[N - start])
 
 

@@ -73,6 +73,14 @@ def default_rule_size(degree: int) -> int:
 MAX_GRID_POINTS = 2**24  # cap on the nodes of a K^d tensor grid (128 MiB per copy)
 
 
+def _check_grid_size(K: int, d: int) -> None:
+    """DomainError past MAX_GRID_POINTS nodes in the d-fold grid of a K-node
+    rule; past 24 axes of 2+ nodes it names K^d without forming the number."""
+    if (over := K > 1 and d > 24) or K**d > MAX_GRID_POINTS:
+        raise DomainError(f"a {K}-node rule in dimension {d} makes a grid of {f'{K}^{d}' if over else K**d}"
+                          f" points, above the cap of {MAX_GRID_POINTS}")
+
+
 def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndarray:
     """The evaluator at every node of the d-fold tensor grid, as a (K,)*d array.
 
@@ -80,14 +88,11 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
     read-only row view of one (K^(d-1), d) block of nodes, built once per
     node of the first axis.  A non-finite value raises DomainError naming its
     node, the only report (NumPy's overflow and invalid-value warnings are
-    off while the evaluator runs).  A grid of more than MAX_GRID_POINTS nodes
-    is a DomainError, raised before any work; past 24 axes of 2+ nodes the
-    error names the size as K^d, without forming that number.
+    off while the evaluator runs).  A grid past `_check_grid_size` is its
+    DomainError, raised before any work.
     """
     K = nodes.size
-    if (over := K > 1 and d > 24) or K**d > MAX_GRID_POINTS:
-        raise DomainError(f"a {K}-node rule in dimension {d} makes a grid of {f'{K}^{d}' if over else K**d}"
-                          f" points, above the cap of {MAX_GRID_POINTS}")
+    _check_grid_size(K, d)
     tail = np.array(list(product(nodes.tolist(), repeat=d - 1)), dtype=float)  # (K^(d-1), d-1)
     values = np.empty((K, tail.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):

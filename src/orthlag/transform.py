@@ -129,8 +129,8 @@ class CoefficientField:
         out = object.__new__(CoefficientField)
         out.dim, out.truncation_kind, out.degree = self.dim, self.truncation_kind, self.degree
         out._set(self.index, values, self.orders)
-        # the same index has the same shells: share what is cached of them
-        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("_shells", "_log_shells"))
+        if "_shells" in self.__dict__:  # the same index has the same shells
+            out._shells = self._shells
         return out
 
     @cached_property
@@ -140,26 +140,14 @@ class CoefficientField:
         return tuple(map(_readonly, np.unique(self.orders, return_inverse=True)))
 
     @cached_property
-    def _log_shells(self) -> np.ndarray:
-        """math.log(m) for each shell m of `_shells`; -inf at m = 0."""
-        return _readonly(np.array([math.log(m) if m else -math.inf for m in self._shells[0].tolist()]))
-
-    @cached_property
-    def _log_abs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _log_abs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(math.log|a_n| over the nonzero terms, in `index` order; each one's
-        position among `_shells`)."""
+        position among the shells that hold a nonzero term; those shells,
+        increasing).  A shell whose terms are all zero is not among them."""
         nonzero = self.values != 0.0
         log_abs = np.array([math.log(v) for v in np.abs(self.values[nonzero]).tolist()], dtype=float)
-        return _readonly(log_abs), _readonly(self._shells[1][nonzero])
-
-    @cached_property
-    def _log_iterate_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(math.log|a_n|, math.log|n|) over the terms with a_n != 0 and
-        |n| > 0, in `index` order: the terms of ||E^N f|| for N >= 1."""
-        log_abs, shell_of = self._log_abs
-        log_m = self._log_shells[shell_of]
-        keep = log_m > -math.inf
-        return _readonly(log_abs[keep]), _readonly(log_m[keep])
+        shells, shell_of = np.unique(self.orders[nonzero], return_inverse=True)
+        return _readonly(log_abs), _readonly(shell_of), _readonly(shells)
 
     def per_shell(self, fn: Callable[[int], float]) -> np.ndarray:
         """fn(|n|) for each stored term, with one call of fn per shell that

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orthlag import fields
 from orthlag.analysis import MAX_ETA_POWERS, MAX_ETA_WORK
 from orthlag.cli import build_parser, main
 from orthlag.core import DomainError
@@ -184,14 +186,34 @@ class TestInputSizedAllocations:
         assert f"grid of {26 ** 8} points, above the cap" in err
         assert not (tmp_path / "a.txt").exists()
 
-    @pytest.mark.parametrize("dim", [1000, 100000])
-    def test_analyze_at_a_huge_dimension(self, tmp_path, capsys, dim):
-        # 17^dim is not formed: past 24 axes of 2+ nodes the grid is past the cap
+    @pytest.mark.parametrize("dim", [1000, 100000, 3000000])
+    def test_analyze_at_a_huge_dimension(self, tmp_path, capsys, monkeypatch, dim):
+        # 17^dim is not formed: past 24 axes of 2+ nodes the grid is past the cap,
+        # decided before the field (one table per axis) is built
+        def no_field(*args):
+            raise AssertionError("the field was built")
+
+        monkeypatch.setattr(fields, "separable_poly_exp_field", no_field)
         code, out, err = run(capsys, "analyze", "--fn", "exp-decay", "--dim", str(dim), "--degree", "1",
                              "--out", str(tmp_path / "a.txt"))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert f"grid of 17^{dim} points, above the cap" in err
         assert not (tmp_path / "a.txt").exists()
+
+    def test_eta_on_a_file_of_zero_records(self, tmp_path, capsys):
+        # 10^4 stored zeros and one term: an iterate window is 2048 rows of the one
+        # shell that holds a nonzero term, not of every stored shell (160 MB)
+        src = tmp_path / "a.txt"
+        zeros = "".join(f"{n},0.0\n" for n in range(2, 10002))
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 10001\n1,1.0\n" + zeros)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "eta", "--in", str(src), "--alpha", "1", "--h", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and "log_value: 0.0\n" in out
+        assert peak < 16 * 2**20, peak
 
 
 class TestAnalyzeCoeffsExactness:
@@ -297,6 +319,20 @@ class TestSynthesize:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and ("finite" in err or "no points" in err)
         assert not (tmp_path / "v.csv").exists()
+
+    def test_series_that_overflows_is_a_domain_error(self, tmp_path, capfd):
+        # every l_n(0) is 1, so the sum at 0 is 1e308 + 1e308 - 1e308 - 1e308 = nan;
+        # at 0.5 it stays finite
+        src, pts, out = tmp_path / "a.txt", tmp_path / "pts.csv", tmp_path / "v.csv"
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 3\n"
+                       "0,1e308\n1,1e308\n2,-1e308\n3,-1e308\n")
+        pts.write_text("0.5\n0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capfd, "synthesize", "--in", str(src), "--points", str(pts), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "orthlag: domain error: non-finite series value nan at point (0.0,)\n"
+        assert not out.exists()
 
 
 def former_synthesize_rows(pts, vals):

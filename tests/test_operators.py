@@ -9,6 +9,7 @@ from orthlag.analysis import SpaceParams, eta_seminorm, log_theta_weight, log_we
 from orthlag.core import DomainError, exp_or_inf, truncation_index
 from orthlag.fields import exp_decay_field, laguerre_field
 from orthlag.operators import (
+    _log_norms,
     _logsumexp,
     apply_E_pointwise,
     apply_E_spectral,
@@ -314,6 +315,47 @@ class TestIterateWindow:
         for b in derived:
             for N in (5, 6, 4, 1):
                 assert same_bits(log_iterate_norm(b, N), reference_log_iterate_norm(b, N)), N
+
+
+@st.composite
+def fields_and_weight_rows(draw):
+    """A d = 1 or 2 field of up to 301 terms of one scale with zeros, and a
+    (B x shells) array of log weights over the shells that hold a nonzero
+    term: whole shells -inf in every row, with a drawn chance all of them.
+    Terms of like size keep the last bits of each sum in the result."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    dim = draw(st.sampled_from((1, 2)))
+    degree = draw(st.integers(min_value=0, max_value=300 if dim == 1 else 23))
+    idx = list(map(tuple, truncation_index("total", dim, degree).tolist()))
+    vals = rng.standard_normal(len(idx)) * draw(st.sampled_from((1.0, 1e-300, 1e200)))
+    vals[rng.random(len(idx)) < draw(st.sampled_from((0.0, 0.3)))] = 0.0
+    a = CoefficientField(dim, "total", degree, dict(zip(idx, vals.tolist())))
+    rows = draw(st.integers(min_value=1, max_value=12))
+    w = rng.normal(0.0, draw(st.sampled_from((0.1, 1.0, 3.0, 40.0))), (rows, a._log_abs[2].size))
+    w[:, rng.random(w.shape[1]) < draw(st.sampled_from((0.0, 0.2, 1.0)))] = -math.inf
+    return a, w
+
+
+@given(fields_and_weight_rows(), st.sampled_from((1.0, 2.0, math.inf, 1e303)))
+@settings(max_examples=400, deadline=None)
+def test_log_norms_rows_match_the_reference_bit_for_bit(case, p):
+    a, w = case
+    got = _log_norms(a, w, p)
+    assert got.shape == (w.shape[0],)
+    for row, value in zip(w, got.tolist()):
+        weight = dict(zip(a._log_abs[2].tolist(), row.tolist()))
+        want = reference_log_shell_weighted_norm(a, lambda m: weight.get(m, 0.0), p)
+        assert same_bits(value, want)
+
+
+@pytest.mark.parametrize("p", [1e303, 1e306, 1.7976931348623157e308])
+def test_log_norms_shift_a_row_whose_p_times_top_overflows(p):
+    # p times the row's largest log (near -1e6 or 1e6) leaves binary64
+    a = CoefficientField(1, "total", 3, {(0,): 1.0, (1,): 1e-300, (3,): 0.5})
+    for shift in (-1e6, 1e6):
+        got = float(_log_norms(a, np.full((1, 3), shift), p)[0])
+        assert got == pytest.approx(shift, rel=1e-15)
+    assert _log_norms(a, np.array([[0.0, math.inf, -math.inf]]), p).tolist() == [math.inf]
 
 
 def test_logsumexp_rows_match_scipy_row_by_row():

@@ -638,14 +638,11 @@ class TestArrayContainer:
         a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
         shells, inverse = a._shells
         assert shells.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 2, 2]
-        assert a._log_shells.tolist() == [-math.inf, 0.0, math.log(3)]
-        log_abs, shell_of = a._log_abs
+        log_abs, shell_of, nonzero_shells = a._log_abs  # a_n = 0 left out
         assert log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
-        assert shell_of.tolist() == [0, 1, 2]
-        iterate_abs, iterate_m = a._log_iterate_terms  # |n| = 0 and a_n = 0 left out
-        assert iterate_abs.tolist() == [math.log(4.0), math.log(2.0)]
-        assert iterate_m.tolist() == [0.0, math.log(3)]
-        for arr in (shells, inverse, a._log_shells, log_abs, shell_of, iterate_abs, iterate_m):
+        assert shell_of.tolist() == [0, 1, 2] and nonzero_shells.tolist() == [0, 1, 3]
+        assert a._shells is a._shells and a._log_abs is a._log_abs  # built once
+        for arr in (shells, inverse, log_abs, shell_of, nonzero_shells):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -653,13 +650,14 @@ class TestArrayContainer:
         from orthlag.operators import apply_E_spectral, semigroup_propagate
 
         a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
-        a._log_abs, a._log_shells  # build the caches
+        a._shells, a._log_abs  # build the caches
         for b in (a.with_values([0.0, 3.0, 1e-300, -7.0]), apply_E_spectral(a, 2), semigroup_propagate(a, 0.5)):
-            assert b._shells is a._shells and b._log_shells is a._log_shells
-            log_abs, shell_of = b._log_abs
+            assert b._shells is a._shells and "_log_abs" not in vars(b)
+            log_abs, shell_of, nonzero_shells = b._log_abs
             nonzero = [i for i, v in enumerate(b.values.tolist()) if v != 0.0]
             assert log_abs.tolist() == [math.log(abs(b.values[i])) for i in nonzero]
-            assert shell_of.tolist() == a._shells[1][nonzero].tolist()
+            assert nonzero_shells[shell_of].tolist() == b.orders[nonzero].tolist()
+            assert nonzero_shells.tolist() == sorted(set(b.orders[nonzero].tolist()))
 
 
 class TestFileFormat:

@@ -67,7 +67,7 @@ def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) ->
     if not p >= 1:  # nan too
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
-    shell_log_weights = np.array([[log_theta_weight(m, params) for m in a._log_abs[2].tolist()]], dtype=float)
+    shell_log_weights = np.array([[log_theta_weight(m, params) for m in a._shells[2].tolist()]], dtype=float)
     if (log_norm := float(_log_norms(a, shell_log_weights, p)[0])) == math.inf:
         raise DomainError(f"the weighted l^{p:g} norm is beyond binary64 even in log form"
                           f" at alpha={params.alpha}, h={params.scale}")
@@ -138,12 +138,12 @@ class DecayFit:
 
 
 def _shell_points(a: CoefficientField, floor: float):
-    """(number of shells with a nonzero maximum, the shells m whose maximum
+    """(number of shells that hold a nonzero term, the shells m whose maximum
     b_m exceeds the floor, log b_m on those shells)."""
     shells, maxima = a.shell_maxima()
     usable = maxima > floor
     ys = np.array([math.log(b) for b in maxima[usable].tolist()])
-    return int(np.count_nonzero(maxima)), shells[usable].astype(float), ys
+    return shells.size, shells[usable].astype(float), ys
 
 
 def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t: float):
@@ -304,7 +304,7 @@ class EtaResult(NamedTuple):
 
 
 MAX_ETA_POWERS = 2**19  # cap on N_max: the ratio list, and about a second on a two-term field
-MAX_ETA_WORK = 2**26  # cap on N_max x terms: about 1.5 s at the cap on a 7381-term field
+MAX_ETA_WORK = 2**26  # cap on N_max x nonzero terms: 2.0-2.2 s at the cap on a 7381-term field (2-core VM)
 
 
 def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaResult:
@@ -316,12 +316,13 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
     termwise, so monotonicity in h and alpha holds exactly in floating point.
     Each ||E^N f|| is one `log_iterate_norm` call, which serves a run of
     consecutive N from one window per field.  N_max above MAX_ETA_POWERS, or
-    N_max times the stored terms above MAX_ETA_WORK, is a DomainError, raised
+    N_max times the nonzero terms above MAX_ETA_WORK, is a DomainError, raised
     before any norm is computed.
     """
     N_max = _check_count(N_max, f"N_max must be an integer in [1, {MAX_ETA_POWERS}]", 1, MAX_ETA_POWERS)
-    if (work := N_max * a.values.size) > MAX_ETA_WORK:
-        raise DomainError(f"N_max {N_max} over {a.values.size} terms makes {work} iterate-norm terms,"
+    terms = a._shells[0].size
+    if (work := N_max * terms) > MAX_ETA_WORK:
+        raise DomainError(f"N_max {N_max} over {terms} nonzero terms makes {work} iterate-norm terms,"
                           f" above the cap of {MAX_ETA_WORK}")
     log_h = math.log(params.scale)
     # a zero norm (-inf) minus finite terms stays -inf

@@ -44,16 +44,19 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
         raise DomainError("need one rate per axis")
     if not rates:
         raise DomainError("a field needs at least one axis")
-    if any(s <= 0 for s in rates):
-        raise DomainError("exponential rates must be positive")
+    if not all(0 < s < math.inf for s in rates):  # nan too
+        raise DomainError("exponential rates must be finite and positive")
+    axis_coeffs = [np.asarray(c, dtype=float) for c in axis_coeffs]
+    if not np.isfinite(np.concatenate(axis_coeffs)).all():
+        raise DomainError("polynomial coefficients must be finite")
     dim = len(rates)
 
     # per distinct axis one table: the polynomial factors of the value and of
     # the first two derivatives, each highest power first, and -s_j
     tables, axes = {}, []
     for c, s in zip(axis_coeffs, rates):
-        polys = [np.asarray(c, dtype=float)]
-        if (key := (polys[0].tobytes(), s)) not in tables:
+        if (key := (c.tobytes(), s)) not in tables:
+            polys = [c]
             for _ in range(2):  # d/dx (P e^{-sx}) / e^{-sx} = P' - sP
                 polys.append(npoly.polysub(npoly.polyder(polys[-1]), s * polys[-1]))
             tables[key] = (*(p[::-1].tolist() for p in polys), -s)
@@ -118,8 +121,5 @@ def field_by_name(name: str, dim: int | None = None) -> ScalarField:
     if name == "exp-decay":
         return exp_decay_field(dim)
     if name.startswith("poly-exp:"):
-        coeffs = [float(v) for v in name[len("poly-exp:"):].split(",")]
-        if not coeffs:
-            raise DomainError("poly-exp needs at least one coefficient")
-        return poly_exp_field(coeffs, dim)
+        return poly_exp_field([float(v) for v in name[len("poly-exp:"):].split(",")], dim)
     raise DomainError(f"unknown built-in field {name!r}")

@@ -12,6 +12,7 @@ coefficient at index n by |n|^N, the semigroup at time t by e^{-t|n|}.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +20,13 @@ from .core import DomainError, _check_count, _validate_points
 from .transform import CoefficientField, ScalarField
 
 
-def apply_multiplier(a: CoefficientField, factors: np.ndarray) -> CoefficientField:
-    """Scale each stored term by its factor (one per term, in `a.index` order)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the coefficient check rejects non-finite products
-        return a.with_values(factors * a.values)
+def apply_multiplier(a: CoefficientField, fn: Callable[[int], float]) -> CoefficientField:
+    """Scale each nonzero term by fn(|n|), one call per nonzero shell; a stored zero stays 0.0."""
+    terms, shell_of, shells = a._shells
+    values = a.values.copy()
+    with np.errstate(over="ignore"):  # the coefficient check rejects non-finite products
+        values[terms] *= np.array([fn(m) for m in shells.tolist()], dtype=float)[shell_of]
+    return a.with_values(values)
 
 
 def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
@@ -38,14 +42,14 @@ def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
         except OverflowError:  # the coefficient check rejects it as non-finite
             return math.inf
 
-    return apply_multiplier(a, a.per_shell(power))
+    return apply_multiplier(a, power)
 
 
 def semigroup_propagate(a: CoefficientField, t: float) -> CoefficientField:
     """Coefficients of e^{-tE} f: entry at n scaled by e^{-t|n|}, t >= 0."""
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
-    return apply_multiplier(a, a.per_shell(lambda m: math.exp(-t * m)))
+    return apply_multiplier(a, lambda m: math.exp(-t * m))
 
 
 def _logsumexp(x: np.ndarray):
@@ -71,15 +75,15 @@ def _logsumexp(x: np.ndarray):
 def _log_norms(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> np.ndarray:
     """log of the l^p norm of {|a_n| e^{w_m}} over the nonzero terms for each
     row of the (rows, shells) log weights, w_m = row[k] at shell m =
-    a._log_abs[2][k]; -inf where the norm is zero.  The terms of the shells
+    a._shells[2][k]; -inf where the norm is zero.  The terms of the shells
     where the first row is -inf are left out: every row must be -inf on the
     same shells, so each row sums what its 1-D log-sum-exp sums, to the bit.
     Where p times the largest log leaves binary64 the logs are shifted by it
     before they are scaled, so with several rows p times every log must stay
     in binary64 (as it does for the p = 2 rows of `log_iterate_norm`)."""
-    log_abs, shell_of, _ = a._log_abs
+    _, shell_of, _ = a._shells
     kept = shell_log_weights[0].take(shell_of) > -math.inf  # log|a_n| is finite
-    log_abs, shell_of = log_abs[kept], shell_of[kept]
+    log_abs, shell_of = a._log_abs[kept], shell_of[kept]
     logs = log_abs + shell_log_weights.take(shell_of, axis=1)  # C order, as take keeps it
     top = logs.max(initial=-math.inf)
     if math.isinf(p) or math.isinf(top):  # the sup norm, no terms, or a weight of inf
@@ -106,7 +110,7 @@ def log_iterate_norm(a: CoefficientField, N: int) -> float:
     N+1, ... costs one (B x terms) log-sum-exp per B powers.  Each value is
     the per-N log-sum-exp to the bit."""
     N = _check_count(N, "operator power must be an integer in [0, 2^53]", hi=MAX_OPERATOR_POWER)
-    _, shell_of, shells = a._log_abs
+    _, shell_of, shells = a._shells
     if N == 0:  # 0^0 = 1: every nonzero term, |n| = 0 included
         return float(_log_norms(a, np.zeros((1, shells.size)), 2)[0])
     start, window = getattr(a, "_iterate_window", (0, ()))

@@ -129,38 +129,28 @@ class CoefficientField:
         out = object.__new__(CoefficientField)
         out.dim, out.truncation_kind, out.degree = self.dim, self.truncation_kind, self.degree
         out._set(self.index, values, self.orders)
-        if "_shells" in self.__dict__:  # the same index has the same shells
-            out._shells = self._shells
         return out
 
     @cached_property
-    def _shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the shells m that hold a stored term, increasing; each term's
-        position among them)."""
-        return tuple(map(_readonly, np.unique(self.orders, return_inverse=True)))
+    def _shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positions in `index` of the nonzero terms; each one's position among
+        the shells that hold a nonzero term; those shells, increasing).  A stored
+        zero is a record, written back, but not a term: it is in no shell."""
+        terms = np.flatnonzero(self.values)
+        shells, shell_of = np.unique(self.orders[terms], return_inverse=True)
+        return _readonly(terms), _readonly(shell_of), _readonly(shells)
 
     @cached_property
-    def _log_abs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(math.log|a_n| over the nonzero terms, in `index` order; each one's
-        position among the shells that hold a nonzero term; those shells,
-        increasing).  A shell whose terms are all zero is not among them."""
-        nonzero = self.values != 0.0
-        log_abs = np.array([math.log(v) for v in np.abs(self.values[nonzero]).tolist()], dtype=float)
-        shells, shell_of = np.unique(self.orders[nonzero], return_inverse=True)
-        return _readonly(log_abs), _readonly(shell_of), _readonly(shells)
-
-    def per_shell(self, fn: Callable[[int], float]) -> np.ndarray:
-        """fn(|n|) for each stored term, with one call of fn per shell that
-        holds a term (a sparse field with a huge |n| costs no more)."""
-        shells, inverse = self._shells
-        return np.array([fn(m) for m in shells.tolist()], dtype=float)[inverse]
+    def _log_abs(self) -> np.ndarray:
+        """math.log|a_n| over the nonzero terms, in `index` order."""
+        return _readonly(np.array([math.log(v) for v in np.abs(self.values[self._shells[0]]).tolist()]))
 
     def shell_maxima(self) -> tuple[np.ndarray, np.ndarray]:
         """(shells m, max |a_n| over |n| = m), over the shells that hold a
-        stored entry, in increasing m."""
-        shells, inverse = self._shells
+        nonzero term, in increasing m."""
+        terms, shell_of, shells = self._shells
         maxima = np.zeros(shells.size)
-        np.maximum.at(maxima, inverse, np.abs(self.values))
+        np.maximum.at(maxima, shell_of, np.abs(self.values[terms]))
         return shells, maxima
 
 

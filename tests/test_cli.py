@@ -396,6 +396,16 @@ class TestOperatorAndPropagate:
         assert code == 2 and "2^63" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_a_stored_zero_where_the_power_overflows_is_written_back(self, tmp_path, capsys):
+        # 30^300 overflows; the record 30,0.0 is not a term, so it was once scaled to nan (exit 2)
+        src, out = tmp_path / "a.txt", tmp_path / "o.txt"
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 30\n2,1.0\n30,0.0\n")
+        code, stdout, err = run(capsys, "operator", "apply", "--power", "300",
+                                "--in", str(src), "--out", str(out))
+        assert code == 0 and err == ""
+        assert out.read_text() == ("dim: 1\ntruncation_kind: total\ntruncation_degree: 30\n"
+                                   "2,2.037035976334486e+90\n30,0.0\n")
+
 
 class TestNormsEtaClassify:
     def write_geometric(self, tmp_path, degree=40):
@@ -646,6 +656,22 @@ def test_overflowing_builtin_field_prints_one_line(tmp_path, capfd):
                              "--out", str(tmp_path / "a.txt"))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "non-finite integrand value" in err
+
+
+@pytest.mark.parametrize("name", ["poly-exp:inf", "poly-exp:1,nan", "poly-exp:-inf,2"])
+def test_non_finite_builtin_coefficient_prints_one_line(tmp_path, capfd, name):
+    # NumPy warned `invalid value encountered in multiply` while building the derivative table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capfd, "analyze", "--fn", name, "--degree", "4", "--out", str(tmp_path / "a.txt"))
+    assert code == 2 and out == ""
+    assert err == "orthlag: domain error: polynomial coefficients must be finite\n"
+    assert not (tmp_path / "a.txt").exists()
+
+
+def test_poly_exp_without_coefficients_is_a_usage_error(tmp_path, capfd):
+    code, out, err = run(capfd, "analyze", "--fn", "poly-exp:", "--degree", "4", "--out", str(tmp_path / "a.txt"))
+    assert code == 1 and out == "" and err.count("\n") == 1
 
 
 def _mostly(draw, good, bad):

@@ -97,16 +97,26 @@ def test_counts_at_the_upper_bound_are_accepted(name):
 
 
 def test_eta_work_cap_on_both_sides():
-    # 2^13 terms: N_max = 2^13 makes exactly MAX_ETA_WORK iterate-norm terms
-    terms = 2**13
-    a = CoefficientField._from_arrays(1, "total", terms - 1, np.arange(terms)[:, None],
-                                      0.5 ** np.arange(terms, dtype=float))
+    # d = 2, total degree 127: 8256 terms, all nonzero; N_max = 8128 is the
+    # largest whose N_max x terms stays within MAX_ETA_WORK
+    index = truncation_index("total", 2, 127)
+    a = CoefficientField._from_arrays(2, "total", 127, index, np.exp(-0.05 * index.sum(axis=1)))
+    terms = a.values.size
     nmax = MAX_ETA_WORK // terms
-    assert nmax * terms == MAX_ETA_WORK and nmax < MAX_ETA_POWERS
-    with pytest.raises(DomainError, match=f"above the cap of {MAX_ETA_WORK}") as err:
+    assert (terms, nmax) == (8256, 8128) and nmax < MAX_ETA_POWERS
+    with pytest.raises(DomainError, match=f"over {terms} nonzero terms .* above the cap of {MAX_ETA_WORK}") as err:
         eta_seminorm(a, PARAMS, nmax + 1)
     assert "\n" not in str(err.value)
     assert eta_seminorm(a, PARAMS, nmax).argmax >= 1
+
+
+def test_eta_work_cap_counts_the_nonzero_terms():
+    # 2^20 stored records and one term: the work is 65 x 1 term, not 65 x 2^20 records
+    values = np.zeros(2**20)
+    values[1] = 1.0
+    a = CoefficientField._from_arrays(1, "total", 2**20 - 1, np.arange(2**20)[:, None], values)
+    result = eta_seminorm(a, SpaceParams(1, 1), 65)
+    assert (result.log_value, result.argmax) == (0.0, 1)
 
 
 class TestFormerlyAccepted:

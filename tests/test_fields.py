@@ -3,12 +3,14 @@ their `deriv` against the former `npoly.polyval` one, bit for bit."""
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.laguerre import lag2poly
 
+from orthlag.core import DomainError
 from orthlag.fields import field_by_name, separable_poly_exp_field
 
 EPS = 2.0**-52
@@ -150,3 +152,18 @@ def test_a_field_of_many_equal_axes_builds_one_table():
     f = field_by_name("exp-decay", 10**5)
     assert time.perf_counter() - t0 < 1.0
     assert f.dim == 10**5 and f.evaluator(np.zeros(10**5)) == 1.0
+
+
+@pytest.mark.parametrize("axis_coeffs, rates, message", [
+    ([[1.0]], [math.nan], "rates must be finite and positive"),
+    ([[1.0]], [math.inf], "rates must be finite and positive"),
+    ([[1.0], [1.0]], [0.5, 0.0], "rates must be finite and positive"),
+    ([[math.inf]], [0.5], "coefficients must be finite"),
+    ([[1.0, 2.0], [1.0, math.nan]], [0.5, 0.5], "coefficients must be finite"),
+])
+def test_non_finite_coefficients_and_rates_are_one_domain_error(axis_coeffs, rates, message):
+    # an inf coefficient once reached npoly.polyder, which warned `invalid value encountered in multiply`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            separable_poly_exp_field(axis_coeffs, rates)

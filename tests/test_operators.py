@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from orthlag.analysis import SpaceParams, eta_seminorm, log_theta_weight, log_weighted_seq_norm
+from orthlag.analysis import (
+    SpaceParams,
+    classify_membership,
+    eta_seminorm,
+    log_theta_weight,
+    log_weighted_seq_norm,
+)
 from orthlag.core import DomainError, exp_or_inf, truncation_index
 from orthlag.fields import exp_decay_field, laguerre_field
 from orthlag.operators import (
@@ -134,13 +140,18 @@ class TestBitwiseAgainstPerEntry:
             assert dict(apply_E_spectral(a, N).entries) == per_entry_reference(a, python_power(N))
 
     def test_power_that_overflows_is_a_domain_error(self):
-        # 30^300 is beyond binary64: the per-entry product is inf, and the
-        # field rejects it, also when the value there is 0 (inf * 0 = nan)
-        for value in (0.5, 0.0):
-            a = CoefficientField(1, "total", 30, {(2,): 1.0, (30,): value})
-            assert per_entry_reference(a, python_power(300)) is None
-            with pytest.raises(DomainError, match=r"index \(30,\) is not finite"):
-                apply_E_spectral(a, 300)
+        # 30^300 is beyond binary64: the per-entry product is inf, and the field rejects it
+        a = CoefficientField(1, "total", 30, {(2,): 1.0, (30,): 0.5})
+        assert per_entry_reference(a, python_power(300)) is None
+        with pytest.raises(DomainError, match=r"index \(30,\) is not finite"):
+            apply_E_spectral(a, 300)
+
+    def test_a_stored_zero_stays_zero_where_the_power_overflows(self):
+        # 30^300 * 0 was nan, a DomainError; a stored zero is not a term, so no factor touches it
+        a = CoefficientField(1, "total", 30, {(2,): 1.0, (30,): 0.0})
+        out = apply_E_spectral(a, 300)
+        assert out.index.tolist() == [[2], [30]] and out.values.tolist() == [2.037035976334486e+90, 0.0]
+        assert out.values[0] == 2.0**300
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0, math.log(2.0), 25.0, 800.0])
     def test_semigroup_propagate(self, t):
@@ -187,11 +198,10 @@ class TestIterateNorm:
 
 
 def reference_log_shell_weighted_norm(a, log_weight, p):
-    """The former log-space norm: the math.log list built per call, one call
-    of log_weight per shell, and scipy.special.logsumexp."""
-    nonzero = a.values != 0.0
-    log_abs = np.array([math.log(v) for v in np.abs(a.values[nonzero]).tolist()])
-    logs = log_abs + a.per_shell(log_weight)[nonzero]
+    """The former log-space norm: math.log|a_n| plus log_weight(|n|) for
+    each nonzero term, built per call, and scipy.special.logsumexp."""
+    terms = [(v, sum(n)) for n, v in zip(a.index.tolist(), a.values.tolist()) if v != 0.0]
+    logs = np.array([math.log(abs(v)) + log_weight(m) for v, m in terms])
     logs = logs[logs > -math.inf]
     if logs.size == 0:
         return -math.inf
@@ -331,7 +341,7 @@ def fields_and_weight_rows(draw):
     vals[rng.random(len(idx)) < draw(st.sampled_from((0.0, 0.3)))] = 0.0
     a = CoefficientField(dim, "total", degree, dict(zip(idx, vals.tolist())))
     rows = draw(st.integers(min_value=1, max_value=12))
-    w = rng.normal(0.0, draw(st.sampled_from((0.1, 1.0, 3.0, 40.0))), (rows, a._log_abs[2].size))
+    w = rng.normal(0.0, draw(st.sampled_from((0.1, 1.0, 3.0, 40.0))), (rows, a._shells[2].size))
     w[:, rng.random(w.shape[1]) < draw(st.sampled_from((0.0, 0.2, 1.0)))] = -math.inf
     return a, w
 
@@ -343,7 +353,7 @@ def test_log_norms_rows_match_the_reference_bit_for_bit(case, p):
     got = _log_norms(a, w, p)
     assert got.shape == (w.shape[0],)
     for row, value in zip(w, got.tolist()):
-        weight = dict(zip(a._log_abs[2].tolist(), row.tolist()))
+        weight = dict(zip(a._shells[2].tolist(), row.tolist()))
         want = reference_log_shell_weighted_norm(a, lambda m: weight.get(m, 0.0), p)
         assert same_bits(value, want)
 
@@ -447,3 +457,44 @@ class TestSpectralPointwiseAgreement:
         pts = rng.uniform(0.0, 15.0, size=(50, dim))
         spec = synthesize(ea, pts)
         assert apply_E_pointwise(fa, pts) == pytest.approx(spec, abs=1e-7)
+
+
+@st.composite
+def fields_with_stored_zeros(draw):
+    """(a field with decaying terms on a random subset of a total-degree set,
+    the same field with zero records added on shells that hold a term and on
+    a shell above every term, the indices of those zero records)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    degree = draw(st.integers(min_value=0, max_value={1: 40, 2: 12, 3: 6}[dim]))
+    idx = truncation_index("total", dim, degree + 1)
+    inside = np.flatnonzero(idx.sum(axis=1) <= degree)
+    terms = inside[rng.random(inside.size) < draw(st.sampled_from((0.3, 0.7, 1.0)))]
+    orders = idx[terms].sum(axis=1)
+    vals = rng.uniform(-1.0, 1.0, terms.size) * np.exp(-draw(st.sampled_from((0.0, 0.5))) * orders)
+    vals[vals == 0.0] = 1.0
+    free = np.setdiff1d(inside, terms)
+    zeros = free[np.isin(idx[free].sum(axis=1), orders) & (rng.random(free.size) < 0.5)]
+    zeros = np.append(zeros, rng.choice(np.flatnonzero(idx.sum(axis=1) == degree + 1)))
+    a = CoefficientField._from_arrays(dim, "total", degree + 1, idx[terms], vals)
+    b = CoefficientField._from_arrays(dim, "total", degree + 1, idx[np.append(terms, zeros)],
+                                      np.append(vals, np.zeros(zeros.size)))
+    return a, b, list(map(tuple, idx[zeros].tolist()))
+
+
+@given(fields_with_stored_zeros(), st.sampled_from((0, 1, 2, 7)), st.sampled_from((0.0, 0.37, 25.0, 800.0)))
+@settings(max_examples=60, deadline=None)
+def test_a_stored_zero_changes_no_answer(case, N, t):
+    a, b, zeros = case
+    for op in (lambda f: apply_E_spectral(f, N), lambda f: semigroup_propagate(f, t)):
+        got, want = op(b).entries, op(a).entries
+        assert len(got) == len(want) + len(zeros)
+        assert all(same_bits(got[n], v) for n, v in want.items())
+        assert all(same_bits(got[n], 0.0) for n in zeros)
+    params = SpaceParams(1.0, 0.5)
+    for p in (1, 2, math.inf):
+        assert same_bits(log_weighted_seq_norm(b, params, p), log_weighted_seq_norm(a, params, p))
+    for M in (0, 1, 3, 40):
+        assert same_bits(log_iterate_norm(b, M), log_iterate_norm(a, M))
+    assert eta_seminorm(b, params, 12) == eta_seminorm(a, params, 12)
+    assert classify_membership(b, 1.0) == classify_membership(a, 1.0)

@@ -635,29 +635,34 @@ class TestArrayContainer:
             a.with_values([1.0])
 
     def test_cached_shell_and_log_arrays(self):
-        a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
-        shells, inverse = a._shells
-        assert shells.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 2, 2]
-        log_abs, shell_of, nonzero_shells = a._log_abs  # a_n = 0 left out
-        assert log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
-        assert shell_of.tolist() == [0, 1, 2] and nonzero_shells.tolist() == [0, 1, 3]
+        a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0, (2, 0): -0.0})
+        assert a.orders.tolist() == [0, 1, 2, 3, 3]
+        terms, shell_of, shells = a._shells  # the stored zeros at |n| = 2 and 3 are in no shell
+        assert terms.tolist() == [0, 1, 3] and shell_of.tolist() == [0, 1, 2] and shells.tolist() == [0, 1, 3]
+        assert a._log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
         assert a._shells is a._shells and a._log_abs is a._log_abs  # built once
-        for arr in (shells, inverse, log_abs, shell_of, nonzero_shells):
+        for arr in (terms, shell_of, shells, a._log_abs):
             with pytest.raises(ValueError):
                 arr[...] = 0
+        shells, maxima = a.shell_maxima()
+        assert shells.tolist() == [0, 1, 3] and maxima.tolist() == [0.5, 4.0, 2.0]
 
-    def test_with_values_shares_the_shells_and_rebuilds_the_logs(self):
+    def test_fields_made_from_a_field_build_their_own_table(self):
         from orthlag.operators import apply_E_spectral, semigroup_propagate
 
         a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
         a._shells, a._log_abs  # build the caches
-        for b in (a.with_values([0.0, 3.0, 1e-300, -7.0]), apply_E_spectral(a, 2), semigroup_propagate(a, 0.5)):
-            assert b._shells is a._shells and "_log_abs" not in vars(b)
-            log_abs, shell_of, nonzero_shells = b._log_abs
-            nonzero = [i for i, v in enumerate(b.values.tolist()) if v != 0.0]
-            assert log_abs.tolist() == [math.log(abs(b.values[i])) for i in nonzero]
-            assert nonzero_shells[shell_of].tolist() == b.orders[nonzero].tolist()
-            assert nonzero_shells.tolist() == sorted(set(b.orders[nonzero].tolist()))
+        derived = (a.with_values([0.0, 3.0, 1e-300, -7.0]), apply_E_spectral(a, 2),
+                   semigroup_propagate(a, 0.5), semigroup_propagate(a, 800.0))
+        for b in derived:
+            assert "_shells" not in vars(b) and "_log_abs" not in vars(b)
+            terms, shell_of, shells = b._shells
+            assert terms.tolist() == [i for i, v in enumerate(b.values.tolist()) if v != 0.0]
+            assert b._log_abs.tolist() == [math.log(abs(b.values[i])) for i in terms.tolist()]
+            assert shells[shell_of].tolist() == b.orders[terms].tolist()
+            assert shells.tolist() == sorted(set(b.orders[terms].tolist()))
+        assert derived[0]._shells[0].tolist() == [1, 2, 3]  # a new zero leaves the table
+        assert derived[3]._shells[0].tolist() == [0]  # e^{-800 |n|} a_n underflows past |n| = 0
 
 
 class TestFileFormat:

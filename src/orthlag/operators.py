@@ -12,6 +12,7 @@ coefficient at index n by |n|^N, the semigroup at time t by e^{-t|n|}.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -20,18 +21,26 @@ from .core import DomainError, _check_count, _validate_points
 from .transform import CoefficientField, ScalarField
 
 
-def apply_multiplier(a: CoefficientField, fn: Callable[[int], float]) -> CoefficientField:
-    """Scale each nonzero term by fn(|n|), one call per nonzero shell; a stored zero stays 0.0."""
+def apply_multiplier(a: CoefficientField, factor: Callable[[int], float | None],
+                     term: Callable[[int, float], float]) -> CoefficientField:
+    """Scale each nonzero term by factor(|n|), one call per nonzero shell; a stored
+    zero stays 0.0.  On a shell where factor(m) is None, the factor leaves binary64
+    while a product may not: each of its terms a_n becomes term(m, a_n) instead."""
     terms, shell_of, shells = a._shells
+    factors = [factor(m) for m in shells.tolist()]
     values = a.values.copy()
     with np.errstate(over="ignore"):  # the coefficient check rejects non-finite products
-        values[terms] *= np.array([fn(m) for m in shells.tolist()], dtype=float)[shell_of]
+        values[terms] *= np.array([1.0 if f is None else f for f in factors])[shell_of]
+    if None in factors:
+        at = terms[np.array([f is None for f in factors])[shell_of]]
+        values[at] = [term(m, v) for m, v in zip(a.orders[at].tolist(), values[at].tolist())]
     return a.with_values(values)
 
 
 def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
     """Coefficients of E^N f: entry at n scaled by |n|^N (0^0 = 1, so N = 0
-    is the identity; 0^N and 1^N are exact for every N)."""
+    is the identity; 0^N and 1^N are exact for every N).  Where |n|^N
+    overflows binary64 the entry is the exact product rounded once."""
     N = _check_count(N, "operator power must be a nonnegative integer")
 
     def power(m):
@@ -39,17 +48,34 @@ def apply_E_spectral(a: CoefficientField, N: int) -> CoefficientField:
             return float(m**N)
         try:
             return float(m) ** N
-        except OverflowError:  # the coefficient check rejects it as non-finite
+        except OverflowError:
+            return None
+
+    def exact(m, v):
+        # a nonzero product below 2^1024 has |a_n| >= 2^-1074, so m^N < 2^2098
+        if N > 2100 / math.log2(m):  # N may be past the float range
+            return math.inf  # the coefficient check rejects it as non-finite
+        p, q = v.as_integer_ratio()  # q is a power of 2
+        try:
+            return p * m**N / q  # int true division rounds once
+        except OverflowError:
             return math.inf
 
-    return apply_multiplier(a, power)
+    return apply_multiplier(a, power, exact)
 
 
 def semigroup_propagate(a: CoefficientField, t: float) -> CoefficientField:
-    """Coefficients of e^{-tE} f: entry at n scaled by e^{-t|n|}, t >= 0."""
+    """Coefficients of e^{-tE} f: entry at n scaled by e^{-t|n|}, t >= 0.
+    Where e^{-t|n|} underflows to a subnormal or 0, the entry is formed in
+    log space, so a large a_n keeps its normal-range product."""
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
-    return apply_multiplier(a, lambda m: math.exp(-t * m))
+
+    def decay(m):
+        f = math.exp(-t * m)
+        return f if f >= sys.float_info.min else None
+
+    return apply_multiplier(a, decay, lambda m, v: math.copysign(math.exp(math.log(abs(v)) - t * m), v))
 
 
 def _logsumexp(x: np.ndarray):

@@ -1,21 +1,21 @@
 """Gauss-Laguerre quadrature on (0, inf) and tensor-product orthant integrals.
 
 Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-(Golub-Welsch); each weight comes from its Christoffel number, summed in log
-form, so the exponent-compensated weights e^{x_k} w_k are accurate at every
-node even where the bare weights underflow binary64 (large rules have nodes
-beyond 700).
+(Golub-Welsch), from NumPy's dense `eigvalsh`; each weight comes from its
+Christoffel number, summed in log form, so the exponent-compensated weights
+e^{x_k} w_k are accurate at every node even where the bare weights underflow
+binary64 (large rules have nodes beyond 700).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import DomainError, _check_count, laguerre_fn_log_christoffel
 
@@ -59,10 +59,23 @@ def gauss_laguerre_rule(K: int) -> QuadratureRule:
         1 / (e^{x_k} w_k) = sum_{j<K} l_j(x_k)^2,
 
     evaluated through an exponent-tracked recurrence, one path for every node.
+    A rule is built once per size per process and shared by every caller, so
+    its arrays are read-only.
     """
-    K = _check_count(K, f"rule size must be an integer in [1, {MAX_RULE_SIZE}]", 1, MAX_RULE_SIZE)
-    nodes = eigvalsh_tridiagonal(2.0 * np.arange(K) + 1.0, np.arange(1.0, K))
-    return QuadratureRule(nodes=nodes, log_modified_weights=-laguerre_fn_log_christoffel(K, nodes))
+    return _rule(_check_count(K, f"rule size must be an integer in [1, {MAX_RULE_SIZE}]", 1, MAX_RULE_SIZE))
+
+
+@functools.cache
+def _rule(K: int) -> QuadratureRule:
+    # LAPACK's tridiagonal reduction leaves this matrix as it is, and then
+    # runs the same eigenvalue solver as a tridiagonal routine: O(K^3) time
+    # and a K x K array (2 MiB at MAX_RULE_SIZE), which the cache pays once
+    jacobi = np.diag(2.0 * np.arange(K) + 1.0) + np.diag(np.arange(1.0, K), -1)
+    nodes = np.linalg.eigvalsh(jacobi)
+    log_modified_weights = -laguerre_fn_log_christoffel(K, nodes)
+    nodes.setflags(write=False)
+    log_modified_weights.setflags(write=False)
+    return QuadratureRule(nodes=nodes, log_modified_weights=log_modified_weights)
 
 
 def default_rule_size(degree: int) -> int:

@@ -406,6 +406,23 @@ class TestOperatorAndPropagate:
         assert out.read_text() == ("dim: 1\ntruncation_kind: total\ntruncation_degree: 30\n"
                                    "2,2.037035976334486e+90\n30,0.0\n")
 
+    def test_a_power_past_binary64_with_a_product_inside_it(self, tmp_path, capsys):
+        # 1000^200 overflows, 1000^200 * 1e-300 does not: once "is not finite: inf", exit 2
+        src, out = tmp_path / "a.txt", tmp_path / "o.txt"
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 1000\n1000,1e-300\n")
+        code, _, err = run(capsys, "operator", "apply", "--power", "200",
+                           "--in", str(src), "--out", str(out))
+        assert code == 0 and err == ""
+        assert out.read_text().splitlines()[-1] == "1000,1e+300"
+
+    def test_a_decay_below_binary64_with_a_product_inside_it(self, tmp_path, capsys):
+        # e^{-800} underflows to 0, 1e300 e^{-800} does not: once written as 100,0.0
+        src, out = tmp_path / "a.txt", tmp_path / "o.txt"
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 100\n100,1e300\n")
+        code, _, err = run(capsys, "propagate", "--time", "8", "--in", str(src), "--out", str(out))
+        assert code == 0 and err == ""
+        assert read_coefficients(out).get((100,)) == pytest.approx(3.6678745841776e-48, rel=1e-12, abs=0.0)
+
 
 class TestNormsEtaClassify:
     def write_geometric(self, tmp_path, degree=40):
@@ -832,12 +849,38 @@ def test_malformed_point_files_end_in_an_exit_code(text):
             assert not values.exists()
 
 
-def test_import_leaves_scipy_special_unloaded():
-    """orthlag's log-sum-exp is its own; importing the CLI in a fresh
-    interpreter does not load scipy.special."""
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter on this checkout's package."""
     import orthlag
 
-    code = "import sys, orthlag.cli; print('scipy.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(orthlag.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, check=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    """orthlag runs on NumPy alone: importing the CLI in a fresh interpreter
+    loads no SciPy module."""
+    code = "import sys, orthlag.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _python(code).stdout.strip() == "[]"
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    """With `import scipy` made to fail, every command that builds a rule,
+    synthesizes or scales still exits 0: nothing imports SciPy lazily."""
+    code = """if True:
+        import sys
+        sys.modules["scipy"] = None
+        from orthlag.cli import main
+        d = sys.argv[1]
+        with open(f"{d}/pts.csv", "w") as fh:
+            fh.write("0\\n0.5\\n2.0\\n")
+        for argv in (["quad", "--nodes", "512", "--out", f"{d}/rule.csv"],
+                     ["analyze", "--fn", "exp-decay", "--degree", "30", "--out", f"{d}/a.txt"],
+                     ["synthesize", "--in", f"{d}/a.txt", "--points", f"{d}/pts.csv", "--out", f"{d}/v.csv"],
+                     ["operator", "apply", "--power", "2", "--in", f"{d}/a.txt", "--out", f"{d}/o.txt"],
+                     ["verify", "--suite", "all"]):
+            print(argv[0], main(argv), file=sys.stderr)
+    """
+    err = _python(code, str(tmp_path)).stderr
+    assert err.splitlines() == ["quad 0", "analyze 0", "synthesize 0", "operator 0", "verify 0"]

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,6 +147,9 @@ class TestBitwiseAgainstPerEntry:
         assert per_entry_reference(a, python_power(300)) is None
         with pytest.raises(DomainError, match=r"index \(30,\) is not finite"):
             apply_E_spectral(a, 300)
+        # so does a power whose N alone is past the float range
+        with pytest.raises(DomainError, match=r"index \(2,\) is not finite"):
+            apply_E_spectral(a, 10**400)
 
     def test_a_stored_zero_stays_zero_where_the_power_overflows(self):
         # 30^300 * 0 was nan, a DomainError; a stored zero is not a term, so no factor touches it
@@ -155,11 +160,68 @@ class TestBitwiseAgainstPerEntry:
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0, math.log(2.0), 25.0, 800.0])
     def test_semigroup_propagate(self, t):
+        # a term whose factor e^{-t|n|} is a normal number keeps the per-entry
+        # product's bits; the others are the exact product, formed in log space
         rng = np.random.default_rng(17)
         for dim, degree in ((1, 40), (2, 12), (3, 6)):
             a = random_field(rng, dim, degree)
             want = per_entry_reference(a, lambda m: math.exp(-t * m))
-            assert dict(semigroup_propagate(a, t).entries) == want
+            got = semigroup_propagate(a, t).entries
+            for n, v in a.entries.items():
+                if math.exp(-t * sum(n)) >= sys.float_info.min:
+                    assert same_bits(got[n], want[n])
+                else:
+                    assert got[n] == pytest.approx(mp_decay(v, t, sum(n)), rel=1e-12, abs=1e-322)
+
+
+def mp_power(v, m, N):
+    """a_n m^N, correctly rounded, from mpmath at a working precision that holds it exactly."""
+    with mpmath.workprec(64 + N * max(1, m).bit_length()):
+        return float(mpmath.mpf(v) * mpmath.mpf(m) ** N)
+
+
+def mp_decay(v, t, m):
+    """a_n e^{-t m}, from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.mpf(v) * mpmath.exp(-mpmath.mpf(t) * m))
+
+
+class TestFactorsOutsideBinary64:
+    """A factor that leaves binary64 while the product does not: |n|^N past
+    2^1024, or e^{-t|n|} below the normal range."""
+
+    @given(st.integers(2, 5000), st.integers(1000, 2150),
+           st.floats(-1e-200, 1e-200, allow_subnormal=True).filter(lambda v: v != 0.0))
+    @example(1000, 1993, 1e-300)  # 1000^200 * 1e-300 = 1e300
+    @example(2, 2097, 5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_power_is_the_rounded_exact_product(self, m, bits, v):
+        N = max(1, round(bits / math.log2(m)))  # m^N near 2^bits, where the float power overflows
+        want = mp_power(v, m, N)
+        a = CoefficientField(1, "total", m, {(m,): v, (1,): 1.0})
+        if math.isinf(want):
+            with pytest.raises(DomainError, match="is not finite"):
+                apply_E_spectral(a, N)
+            return
+        got = apply_E_spectral(a, N).get((m,))
+        try:
+            factor = float(m) ** N
+        except OverflowError:
+            assert same_bits(got, want)
+        else:  # a normal factor keeps the product's bits
+            assert same_bits(got, v * factor)
+
+    @given(st.floats(1e-3, 50.0), st.integers(1, 2000), st.floats(-1e308, 1e308).filter(lambda v: abs(v) > 1e-300))
+    @example(8.0, 100, 1e300)
+    @settings(max_examples=200, deadline=None)
+    def test_decay_is_formed_in_log_space(self, t, m, v):
+        a = CoefficientField(1, "total", m, {(m,): v, (0,): 1.0})
+        got = semigroup_propagate(a, t).get((m,))
+        # the exact product is conditioned by the logs of its two factors
+        rel = 4e-16 * (2.0 + t * m + abs(math.log(abs(v))))
+        assert got == pytest.approx(mp_decay(v, t, m), rel=rel, abs=1e-322)
+        if math.exp(-t * m) >= sys.float_info.min:
+            assert same_bits(got, v * math.exp(-t * m))
 
 
 class TestIterateNorm:

@@ -3,11 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from orthlag.core import DomainError, laguerre_fn_sweep
 from orthlag.quadrature import (
+    MAX_RULE_SIZE,
     _node_grid_values,
+    _rule,
     default_rule_size,
     gauss_laguerre_rule,
     integrate_orthant,
@@ -39,10 +41,37 @@ class TestRuleConstruction:
         assert rule.nodes[0] > 0
         assert np.all(np.diff(rule.nodes) > 0)
 
-    @pytest.mark.parametrize("K", [0, -3, 513, 2.5])
+    @pytest.mark.parametrize("K", [0, -3, 513, 2.5, 3.0, math.nan, "3"])
     def test_rejects_bad_sizes(self, K):
+        # decided before the per-size cache is reached, which holds ints only
+        before = _rule.cache_info()
         with pytest.raises(DomainError):
             gauss_laguerre_rule(K)
+        assert _rule.cache_info() == before
+
+    def test_nodes_equal_the_tridiagonal_solver_bit_for_bit(self):
+        # the dense eigvalsh and SciPy's tridiagonal route end in the same
+        # LAPACK eigenvalue solver on the same matrix
+        for K in range(1, MAX_RULE_SIZE + 1):
+            want = eigvalsh_tridiagonal(2.0 * np.arange(K) + 1.0, np.arange(1.0, K))
+            assert np.array_equal(gauss_laguerre_rule(K).nodes, want), K
+
+    def test_one_rule_per_size(self):
+        rule = gauss_laguerre_rule(37)
+        assert gauss_laguerre_rule(37) is rule
+        assert gauss_laguerre_rule(np.int64(37)) is rule
+        assert gauss_laguerre_rule(np.uint16(37)) is rule
+        assert gauss_laguerre_rule(38) is not rule
+
+    @pytest.mark.parametrize("field", ["nodes", "log_modified_weights"])
+    def test_shared_arrays_are_read_only(self, field):
+        rule = gauss_laguerre_rule(9)
+        before = getattr(rule, field).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rule, field)[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rule, field)[...] *= 2.0
+        assert np.array_equal(getattr(gauss_laguerre_rule(9), field), before)
 
     def test_matches_reference_rule(self):
         xs, ws = np.polynomial.laguerre.laggauss(30)

@@ -3,12 +3,14 @@ that misses its bound is a [FAIL] line with exit 3, not a traceback."""
 
 import math
 
+import numpy as np
 import pytest
 
-from orthlag import analysis
+from orthlag import analysis, quadrature
 from orthlag.cli import main
+from orthlag.operators import _logsumexp
 from orthlag.transform import CoefficientField
-from orthlag.verify import SUITES, run_suite
+from orthlag.verify import SUITES, check_log_space_moments, run_suite
 
 ALL_CHECKS = [
     ("core", "three-term recurrence residual"),
@@ -69,3 +71,18 @@ def test_a_broken_equivalence_bound_is_a_fail_line(monkeypatch, capsys):
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert any("norm-equivalence ratio within constant" in line for line in failed)
     assert out.splitlines()[-1].endswith("checks passed")
+
+
+def test_blocked_log_space_moments_measure_the_per_moment_loop():
+    # the reference: one 1-D log-sum-exp per moment m
+    K = 512
+    rule = quadrature.gauss_laguerre_rule(K)
+    log_w = rule.log_modified_weights - rule.nodes
+    log_x = np.log(rule.nodes)
+    worst = 0.0
+    for m in range(2 * K):
+        exact = math.lgamma(m + 1)
+        worst = max(worst, abs(_logsumexp(log_w + m * log_x) - exact) / max(1.0, exact))
+    name, measured, allowed = check_log_space_moments()
+    assert measured.hex() == worst.hex()
+    assert (name, allowed) == (f"log-space moments m <= 2K-1 (K = {K})", 1e-12)

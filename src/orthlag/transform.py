@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DomainError,
     _check_truncation,
@@ -204,31 +205,47 @@ def _sweep_blocks(a: CoefficientField, pts: np.ndarray, width: int = 1):
     l_0..l_{max n_j} at x_j for the points of the block, as a
     (max n_j + 1, points) view.
 
-    The sweeps are built for blocks of about 2^20 / (max n_j + 1) points, and
-    cut into gather blocks whose `width` gathered arrays per axis hold at most
-    about 2^16 values together (one point when there are more terms), so
-    memory is bounded whatever the number of points.  A field without terms
-    has no blocks.
+    The points go in blocks of about 2^20 / (largest n_j + 1), cut into gather
+    blocks whose `width` gathered arrays per axis hold at most about 2^16
+    values together (one point when there are more terms), so memory is
+    bounded whatever the number of points.  In a block, the axes with the same
+    max n_j = m share one sweep to degree m over their stacked coordinates,
+    as many axes as fit in the points of one gather block (so the sweep's
+    working arrays are no longer than with one axis at a gather block) and in
+    core.MAX_SWEEP_VALUES values; one axis always goes.  The recurrence runs
+    on each point alone, so every value is the one a sweep per axis gives.
+    A field without terms has no blocks.
     """
     if a.values.size == 0:
         return
-    degs = a.index.max(axis=0).tolist()
+    axes = {}  # m -> the axes j with max n_j = m
+    for j, m in enumerate(a.index.max(axis=0).tolist()):
+        axes.setdefault(m, []).append(j)
     inner = max(1, 2**16 // (width * a.values.size))
-    outer = max(1, 2**20 // (max(degs) + 1))
+    outer = max(1, 2**20 // (max(axes) + 1))
     outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
     for start in range(0, pts.shape[0], outer):
-        chunk = pts[start:start + outer]
-        sweeps = [laguerre_fn_sweep(m, chunk[:, j]) for j, m in enumerate(degs)]
-        for lo in range(0, chunk.shape[0], inner):
+        chunk = pts[start:start + outer].T
+        n = chunk.shape[1]
+        sweeps = [None] * a.dim
+        for m, same in axes.items():
+            per = max(1, min(inner, core.MAX_SWEEP_VALUES // (m + 1)) // n)  # axes in one sweep
+            for k in range(0, len(same), per):
+                stack = same[k:k + per]
+                rows = laguerre_fn_sweep(m, chunk[stack].ravel())
+                for i, j in enumerate(stack):
+                    sweeps[j] = rows[:, i * n:(i + 1) * n]
+        for lo in range(0, n, inner):
             yield start + lo, [sweep[:, lo:lo + inner] for sweep in sweeps]
 
 
 def synthesize(a: CoefficientField, points) -> np.ndarray:
     """Evaluate the truncated series sum_n a_n l_n at each of the (npts, d) points.
 
-    Each term's factors l_{n_j}(x_j) are gathered from the per-axis sweeps of
-    `_sweep_blocks` by the columns of `index`, multiplied over the axes and
-    summed against `values`.
+    Each term's factors l_{n_j}(x_j) are gathered by the columns of `index`
+    from the rows `_sweep_blocks` gives each axis (in a block, one sweep for
+    the axes that share max n_j), multiplied over the axes and summed against
+    `values`.
     """
     pts = _validate_points(points, a.dim)
     out = np.zeros(pts.shape[0])

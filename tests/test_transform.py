@@ -9,6 +9,7 @@ from numpy.polynomial.laguerre import lag2poly
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orthlag import core, transform
 from orthlag.core import (
     DomainError,
     laguerre_fn_derivative_sweep,
@@ -409,6 +410,110 @@ def test_sweep_blocks_hold_whole_gather_blocks():
     a = CoefficientField(2, "box", 2000, entries)
     pts = rng.uniform(0.0, 50.0, size=(2_000, 2))
     assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
+
+
+def unblocked_deriv(a, points):
+    """The former `as_scalar_field(a).deriv`, kept as the reference: one
+    derivative sweep per axis over all the points at once, then the same
+    gather blocks."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    sweeps = [laguerre_fn_derivative_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
+    block = max(1, 2**16 // (3 * a.values.size))
+    value, (first, second) = np.empty(pts.shape[0]), np.empty((2, a.dim, pts.shape[0]))
+    for lo in range(0, pts.shape[0], block):
+        cols = slice(lo, lo + block)
+        factors = [[r[:, cols].take(a.index[:, j], axis=0) for r in sweep] for j, sweep in enumerate(sweeps)]
+        vals = [v for v, _, _ in factors]
+        value[cols] = a.values @ math.prod(vals)
+        for j, (_, d1, d2) in enumerate(factors):
+            rest = math.prod(vals[:j] + vals[j + 1:])
+            first[j, cols] = a.values @ (rest * d1)
+            second[j, cols] = a.values @ (rest * d2)
+    return [(value, first[j], second[j]) for j in range(a.dim)]
+
+
+def field_reaching(rng, degs, terms, zeros):
+    """A box field whose axis j reaches max n_j = degs[j] exactly: one record
+    at (0, .., degs[j], .., 0) per axis, `terms` more at random, and `zeros`
+    of the records stored as 0.0."""
+    degs = np.array(degs)
+    rows = [np.diag(degs)] + [rng.integers(0, degs + 1, size=(terms, degs.size))]
+    entries = {tuple(n): float(rng.uniform(-1, 1)) for n in np.vstack(rows).tolist()}
+    for n in list(entries)[:zeros]:
+        entries[n] = 0.0
+    return CoefficientField(degs.size, "box", int(degs.max()), entries)
+
+
+@given(degs=st.lists(st.sampled_from([0, 3, 7, 12]), min_size=1, max_size=4),
+       terms=st.integers(0, 30), zeros=st.integers(0, 3), npts=st.integers(1, 40),
+       far=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(degs=[6, 6], terms=5, zeros=0, npts=1, far=True, seed=1)  # a far and a near coordinate in one sweep
+@example(degs=[5, 2, 5, 9], terms=12, zeros=2, npts=1, far=False, seed=2)  # partly equal, one point
+@example(degs=[1, 4, 7, 12], terms=20, zeros=1, npts=30, far=True, seed=3)  # all different
+@example(degs=[2000, 2000], terms=300, zeros=3, npts=534, far=False, seed=4)  # several blocks, the last stacked
+@settings(max_examples=150, deadline=None)
+def test_stacked_sweeps_give_the_per_axis_values_bit_for_bit(degs, terms, zeros, npts, far, seed):
+    # the axes that share max n_j go through one sweep; every synthesized value
+    # and derivative is the one a sweep per axis gives, to the bit
+    rng = np.random.default_rng(seed)
+    a = field_reaching(rng, degs, terms, zeros)
+    pts = rng.uniform(0.0, 60.0, size=(npts, a.dim))
+    if far:  # the far path runs over every coordinate of the sweep that holds this one
+        pts[0, 0] = rng.uniform(1417.0, 5000.0)
+    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
+    for got, want in zip(as_scalar_field(a).deriv(pts), unblocked_deriv(a, pts)):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def sweep_calls(monkeypatch):
+    """Record (degree, coordinates) of each sweep `transform` runs."""
+    calls = []
+
+    def counted(max_degree, x):
+        calls.append((max_degree, np.size(x)))
+        return laguerre_fn_sweep(max_degree, x)
+
+    monkeypatch.setattr(transform, "laguerre_fn_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case,npts,want", [
+    ("d2-total", 1, [(10, 2)]),
+    ("box-2000-3", 1, [(2000, 1), (3, 1)]),
+    ("d2-total", 400, [(10, 800)]),
+    ("d2-total", 3000, [(10, 3000)] * 2),
+    ("box-2000-3", 600, [(2000, 524), (3, 524), (2000, 76), (3, 76)]),
+    ("empty", 5, []),
+])
+def test_one_sweep_per_block_and_distinct_axis_degree(monkeypatch, case, npts, want):
+    # a block makes one sweep per distinct max n_j while the stacked axes fit
+    # in a gather block (992 points for the 66 terms of "d2-total"); the swept
+    # values, sum of (m + 1) x coordinates, are those of one sweep per axis
+    a = {"d2-total": random_coefficients(np.random.default_rng(7), 2, 10),
+         "box-2000-3": CoefficientField(2, "box", 2000, {(2000, 0): 1.5, (0, 3): -0.7}),
+         "empty": CoefficientField(2, "total", 4, {})}[case]
+    pts = np.random.default_rng(8).uniform(0.0, 30.0, size=(npts, 2))
+    calls = sweep_calls(monkeypatch)
+    synthesize(a, pts)
+    assert calls == want
+    per_axis = (a.index.max(axis=0, initial=-1) + 1).sum() * npts
+    assert sum((m + 1) * n for m, n in calls) == per_axis
+
+
+def test_stacked_sweeps_stay_under_the_sweep_cap(monkeypatch):
+    # at a cap of 16 values, one point on six axes of degree 3 (4 values each)
+    # takes stacks of 4 and 2 axes, where one stack of 24 values would raise
+    monkeypatch.setattr(core, "MAX_SWEEP_VALUES", 16)
+    rng = np.random.default_rng(9)
+    a = random_coefficients(rng, 6, 3)
+    pts = rng.uniform(0.0, 10.0, size=(1, 6))
+    calls = sweep_calls(monkeypatch)
+    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
+    assert calls == [(3, 4), (3, 2)]
+    # a sweep that one axis alone overflows still raises
+    monkeypatch.setattr(core, "MAX_SWEEP_VALUES", 3)
+    with pytest.raises(DomainError, match="above the cap"):
+        synthesize(a, pts)
 
 
 class TestSynthesize:

@@ -19,7 +19,7 @@ report gives its ratio and constant, and the caller compares them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import NamedTuple
@@ -135,6 +135,8 @@ class DecayFit:
     support_size: int
     exponent: float
     log_amplitude: float
+    shells: np.ndarray = field(repr=False, compare=False)  # the shells m fitted, increasing
+    log_maxima: np.ndarray = field(repr=False, compare=False)  # log b_m on them
 
 
 def _shell_points(a: CoefficientField, floor: float):
@@ -146,16 +148,37 @@ def _shell_points(a: CoefficientField, floor: float):
     return shells.size, shells[usable].astype(float), ys
 
 
-def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t: float):
-    """For fixed exponent t, least squares of ys ~ logC - c * ms^t."""
-    phi = ms ** t
-    design = np.column_stack([np.ones_like(phi), -phi])
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = ys - design @ sol
-    return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean(resid ** 2)))
+def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t):
+    """Least squares of ys ~ log C - c * ms^t over at least 2 distinct shells
+    ms: (log C, c, rms residual), as floats for a scalar t and as arrays for
+    a 1-D array of exponents, one fit per exponent.
+
+    Closed form on centred data, with phi = ms^t: the slope is
+    sum (phi - mean phi)(ys - mean ys) / sum (phi - mean phi)^2, and the
+    residuals are formed explicitly, since Syy - slope * Spy cancels on
+    exact data and would leave the exponent search minimising noise.  ys is
+    shifted by ys[0] before centring, so constant data has slope exactly 0,
+    and 0 - slope turns that into c = 0.0, never -0.0."""
+    n = ms.size
+    dphi = ms ** np.asarray(t, dtype=float)[..., None]  # one row per exponent, centred in place
+    phi_bar = dphi.sum(axis=-1, keepdims=True) / n
+    dphi -= phi_bar
+    dy = ys - ys[0]
+    dy_bar = dy.sum() / n
+    dy -= dy_bar
+    slope = (dphi @ dy) / np.einsum("...i,...i->...", dphi, dphi)
+    dphi *= -slope[..., None]
+    resid = np.add(dy, dphi, out=dphi)
+    rms = np.sqrt(np.einsum("...i,...i->...", resid, resid) / n)
+    c = 0.0 - slope
+    log_c0 = ys[0] + dy_bar + c * phi_bar[..., 0]
+    if np.ndim(t) == 0:
+        return float(log_c0), float(c), float(rms)
+    return log_c0, c, rms
 
 
 EXPONENT_GRID = np.linspace(0.05, 4.0, 80)
+FIT_BLOCK_VALUES = 2**20  # cap on exponents x shells in one grid-scan block: 8 MiB per array
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 70
 
@@ -181,8 +204,10 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
     """Fit the stretched-exponential decay law to the shell maxima of a.
 
     Shell maxima b_m = max_{|n|=m} |a_n| above the floor are fitted by
-    log b_m ~ log C - c m^t with the exponent t scanned on a fixed grid and
-    refined by golden section; the fit is deterministic.
+    log b_m ~ log C - c m^t, each t by the closed form of `_linear_decay_fit`.
+    The exponent t is scanned on EXPONENT_GRID, in blocks of at most
+    FIT_BLOCK_VALUES exponent-shell pairs, and refined around the best grid
+    point by golden section; the fit is deterministic.
     """
     if not 0 < floor < math.inf:
         raise DomainError(f"floor must be finite and positive, got {floor}")
@@ -194,15 +219,13 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
             + ("; sequence is finitely supported" if finite else ""),
             finitely_supported=finite,
         )
-
-    def rss(t):
-        return _linear_decay_fit(ms, ys, t)[2]
-
-    grid_rss = [rss(t) for t in EXPONENT_GRID]
+    step = max(1, FIT_BLOCK_VALUES // ms.size)
+    grid_rss = np.concatenate([_linear_decay_fit(ms, ys, EXPONENT_GRID[i:i + step])[2]
+                               for i in range(0, EXPONENT_GRID.size, step)])
     best = int(np.argmin(grid_rss))
     lo = EXPONENT_GRID[max(best - 1, 0)]
     hi = EXPONENT_GRID[min(best + 1, len(EXPONENT_GRID) - 1)]
-    t_hat = float(_golden_section(rss, float(lo), float(hi)))
+    t_hat = float(_golden_section(lambda t: _linear_decay_fit(ms, ys, t)[2], float(lo), float(hi)))
     log_c0, c_hat, resid = _linear_decay_fit(ms, ys, t_hat)
     return DecayFit(
         alpha_hat=1.0 / t_hat,
@@ -211,6 +234,8 @@ def estimate_decay_params(a: CoefficientField, floor: float = DEFAULT_FIT_FLOOR)
         support_size=ms.size,
         exponent=t_hat,
         log_amplitude=log_c0,
+        shells=ms,
+        log_maxima=ys,
     )
 
 
@@ -281,8 +306,12 @@ def classify_membership(
                       details=f"decay exponent {fit.exponent:.4f} below required {target:.4f}")
     # Boundary exponent: compare the fitted rate (exponent pinned at the
     # target) on the first half of the shells against the full range.
-    _, ms, ys = _shell_points(a, floor)
+    ms, ys = fit.shells, fit.log_maxima
     half = ms.size // 2
+    if half < 2:
+        return report(VERDICT_INCONCLUSIVE, fit=fit,
+                      details=f"boundary exponent, but {ms.size} shells above the floor"
+                              f" leave {half} in the first half, too few for a rate trend")
     _, c_half, _ = _linear_decay_fit(ms[:half], ys[:half], target)
     _, c_full, _ = _linear_decay_fit(ms, ys, target)
     if c_full > 1.25 * c_half + 0.05:

@@ -26,10 +26,15 @@ class CheckResult:
     passed: bool
 
 
-def _random_field(rng, dim, degree):
+def _total_degree_template(dim, degree):
+    """Zeros on the total-degree set, validated once per shape in a check."""
     index = truncation_index("total", dim, degree)
-    values = rng.uniform(-1.0, 1.0, size=len(index))  # the same draws as one call per term
-    return transform.CoefficientField._from_arrays(dim, "total", degree, index, values)
+    return transform.CoefficientField._from_arrays(dim, "total", degree, index, np.zeros(len(index)))
+
+
+def _random_field(rng, template):
+    # the same draws as one call per term, in `truncation_index` order
+    return template.with_values(rng.uniform(-1.0, 1.0, size=template.values.size))
 
 
 # --- core ------------------------------------------------------------------
@@ -169,7 +174,7 @@ def check_linearity():
 def check_roundtrip():
     rng = np.random.default_rng(5)
     rule = quadrature.gauss_laguerre_rule(48)
-    a = _random_field(rng, 1, 20)
+    a = _random_field(rng, _total_degree_template(1, 20))
     fa = transform.as_scalar_field(a)
     back = transform.analyze(fa, 20, rule)
     worst = float(np.max(np.abs(back.values - a.values)))
@@ -180,10 +185,11 @@ def check_roundtrip():
 
 def check_spectral_pointwise():
     rng = np.random.default_rng(17)
+    templates = {d: _total_degree_template(d, 12) for d in (1, 2)}
     worst = 0.0
     for _ in range(10):
         d = int(rng.integers(1, 3))
-        a = _random_field(rng, d, 12)
+        a = _random_field(rng, templates[d])
         pts = rng.uniform(0.0, 15.0, size=(50, d))
         pointwise = operators.apply_E_pointwise(transform.as_scalar_field(a), pts)
         spectral = transform.synthesize(operators.apply_E_spectral(a, 1), pts)
@@ -198,9 +204,10 @@ def _max_rel_gap(one, two):
 
 def check_semigroup_law():
     rng = np.random.default_rng(23)
+    template = _total_degree_template(2, 10)
     worst = 0.0
     for _ in range(20):
-        a = _random_field(rng, 2, 10)
+        a = _random_field(rng, template)
         s, t = rng.uniform(0.0, 2.0, size=2)
         one = operators.semigroup_propagate(operators.semigroup_propagate(a, s), t)
         two = operators.semigroup_propagate(a, s + t)
@@ -210,9 +217,10 @@ def check_semigroup_law():
 
 def check_commutation():
     rng = np.random.default_rng(29)
+    template = _total_degree_template(2, 10)
     worst = 0.0
     for _ in range(20):
-        a = _random_field(rng, 2, 10)
+        a = _random_field(rng, template)
         t = float(rng.uniform(0.0, 2.0))
         N = int(rng.integers(0, 5))
         one = operators.apply_E_spectral(operators.semigroup_propagate(a, t), N)
@@ -223,9 +231,10 @@ def check_commutation():
 
 def check_iterate_norm_logspace():
     rng = np.random.default_rng(31)
+    template = _total_degree_template(1, 15)
     worst = 0.0
     for _ in range(10):
-        a = _random_field(rng, 1, 15)
+        a = _random_field(rng, template)
         for N in (0, 1, 3, 6):
             naive = math.sqrt(
                 math.fsum((m ** (2 * N) if m or N == 0 else 0.0) * v * v
@@ -252,9 +261,10 @@ def check_eta_eigenfunction():
 
 def check_eta_monotonicity():
     rng = np.random.default_rng(37)
+    template = _total_degree_template(1, 15)
     bad = 0.0
     for _ in range(100):
-        a = _random_field(rng, 1, 15)
+        a = _random_field(rng, template)
         e_small_h = analysis.eta_seminorm(a, analysis.SpaceParams(1.0, 0.5), 30).value
         e_big_h = analysis.eta_seminorm(a, analysis.SpaceParams(1.0, 2.0), 30).value
         e_small_al = analysis.eta_seminorm(a, analysis.SpaceParams(0.5, 1.0), 30).value
@@ -268,8 +278,9 @@ def check_norm_ordering():
     rng = np.random.default_rng(41)
     bad = 0.0
     params = analysis.SpaceParams(1.0, 1.0)
+    template = _total_degree_template(1, 12)
     for _ in range(100):
-        a = _random_field(rng, 1, 12)
+        a = _random_field(rng, template)
         n_inf, n_2, n_1 = (exp_or_inf(analysis.log_weighted_seq_norm(a, params, p)) for p in (math.inf, 2, 1))
         if not (n_inf <= n_2 <= n_1):
             bad += 1.0
@@ -278,9 +289,10 @@ def check_norm_ordering():
 
 def check_equivalence_bound():
     rng = np.random.default_rng(43)
+    template = _total_degree_template(1, 20)
     worst = 0.0
     for _ in range(100):
-        a = _random_field(rng, 1, 20)
+        a = _random_field(rng, template)
         rep = analysis.norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1.0)
         worst = max(worst, rep.ratio / rep.constant)
     return "norm-equivalence ratio within constant", worst, 1.0

@@ -541,6 +541,41 @@ class TestNormsEtaClassify:
         assert float(lines["alpha_hat"]) == pytest.approx(2.0, abs=1e-9)
         assert float(lines["alpha_hat"]) == pytest.approx(1 / float(lines["exponent"]), rel=1e-15)
 
+    @pytest.mark.parametrize("value", ["1.0", "0.3"])
+    def test_classify_a_flat_file_prints_a_zero_rate(self, tmp_path, capsys, value):
+        # constant data: the slope is exactly 0, and the rate prints 0.0, not -0.0
+        # (the lstsq fit read a rate of +-1e-17 from rounding, and called 0.3 beurling)
+        path = tmp_path / "flat.txt"
+        path.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 9\n"
+                        + "".join(f"{m},{value}\n" for m in range(10)))
+        code, out, err = run(capsys, "classify", "--in", str(path), "--alpha", "1.0")
+        lines = dict(ln.split(": ", 1) for ln in out.splitlines())
+        assert code == 0 and err == ""
+        assert (lines["c_hat"], lines["residual"], lines["verdict"]) == ("0.0", "0.0", "not_member")
+
+    @pytest.mark.parametrize("alpha,shells", [("1", 3), ("1", 4), ("2", 3001), ("1", 3001)])
+    def test_classify_prints_python_floats(self, tmp_path, capsys, alpha, shells):
+        path = tmp_path / "c.txt"
+        rate = math.sqrt if alpha == "2" else float
+        write_coefficients(CoefficientField(1, "total", shells - 1, {(n,): math.exp(-rate(n))
+                                                                     for n in range(shells)}), path)
+        code, out, _ = run(capsys, "classify", "--in", str(path), "--alpha", alpha)
+        assert code == 0 and "np." not in out and "-0.0" not in out
+        for line in out.splitlines():
+            key, text = line.split(": ", 1)
+            if key not in ("verdict", "details", "support_size"):
+                for number in text.split(" -> "):
+                    assert repr(float(number)) == number
+
+    def test_classify_a_three_shell_boundary_is_inconclusive(self, tmp_path, capsys):
+        # e^{-m} at alpha = 1 on 3 shells leaves 1 shell for the rate trend
+        path = tmp_path / "three.txt"
+        write_coefficients(CoefficientField(1, "total", 2, {(n,): math.exp(-n) for n in range(3)}), path)
+        code, out, err = run(capsys, "classify", "--in", str(path), "--alpha", "1")
+        lines = dict(ln.split(": ", 1) for ln in out.splitlines())
+        assert code == 0 and err == "" and lines["verdict"] == "inconclusive"
+        assert "rate_trend" not in lines and "3 shells above the floor" in lines["details"]
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "classify", "--in", "/nonexistent.txt",
                          "--alpha", "1.0")

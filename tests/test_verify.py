@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from orthlag import analysis, quadrature
+from orthlag import analysis, quadrature, verify
 from orthlag.cli import main
 from orthlag.operators import _logsumexp
+from orthlag.core import truncation_index
 from orthlag.transform import CoefficientField
 from orthlag.verify import SUITES, check_log_space_moments, run_suite
 
@@ -86,3 +87,25 @@ def test_blocked_log_space_moments_measure_the_per_moment_loop():
     name, measured, allowed = check_log_space_moments()
     assert measured.hex() == worst.hex()
     assert (name, allowed) == (f"log-space moments m <= 2K-1 (K = {K})", 1e-12)
+
+
+def validated_random_field(rng, template):
+    """The random field built by one validated, sorted construction per draw."""
+    index = truncation_index("total", template.dim, template.degree)
+    values = rng.uniform(-1.0, 1.0, size=len(index))
+    return CoefficientField._from_arrays(template.dim, "total", template.degree, index, values)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 12), (1, 15), (1, 20), (2, 10), (2, 12), (3, 4)])
+def test_template_fields_are_the_validated_fields(dim, degree):
+    template = verify._total_degree_template(dim, degree)
+    one, two = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        assert verify._random_field(one, template) == validated_random_field(two, template)
+
+
+def test_the_checks_on_random_fields_measure_what_validated_fields_give(monkeypatch):
+    suites = ("transform", "operator", "analysis")
+    fast = [r for suite in suites for r in run_suite(suite)]
+    monkeypatch.setattr(verify, "_random_field", validated_random_field)
+    assert fast == [r for suite in suites for r in run_suite(suite)]

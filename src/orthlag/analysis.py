@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DomainError, _check_count, exp_or_inf, truncation_index, truncation_shell_counts
-from .operators import _log_norms, log_iterate_norm
+from .operators import _log_norms, _shell_log_norms, log_iterate_norm
 from .transform import CoefficientField
 
 
@@ -68,7 +68,7 @@ def log_weighted_seq_norm(a: CoefficientField, params: SpaceParams, p: float) ->
         raise DomainError(f"norm index must satisfy p >= 1, got {p}")
     # log_theta_weight uses Python's ** per shell; NumPy's power may differ in the last bit
     shell_log_weights = np.array([[log_theta_weight(m, params) for m in a._shells[2].tolist()]], dtype=float)
-    if (log_norm := float(_log_norms(a, shell_log_weights, p)[0])) == math.inf:
+    if (log_norm := float(_log_norms(_shell_log_norms(a, p), shell_log_weights, p)[0])) == math.inf:
         raise DomainError(f"the weighted l^{p:g} norm is beyond binary64 even in log form"
                           f" at alpha={params.alpha}, h={params.scale}")
     return log_norm
@@ -95,13 +95,12 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     constant; whether the bound holds is the caller's comparison."""
     if not 0 < h1 < h:
         raise DomainError(f"need 0 < h1 < h, got h1={h1}, h={h}")
+    counts = truncation_shell_counts(a.truncation_kind, a.dim, a.degree)
     log_l2 = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h1), 2)
     log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
-    counts = truncation_shell_counts(a.truncation_kind, a.dim, a.degree)
     # per shell e^{-2 (h-h1) m^{1/(2 alpha)}}, which is 0 where the exponent overflows
     gap = SpaceParams(alpha=alpha, scale=h - h1)
-    shell_terms = [c * math.exp(-2.0 * log_theta_weight(m, gap)) for m, c in enumerate(counts)]
-    constant = math.sqrt(math.fsum(shell_terms))
+    constant = math.sqrt(math.fsum(c * math.exp(-2 * log_theta_weight(m, gap)) for m, c in enumerate(counts)))
     ratio = 0.0 if log_sup == -math.inf else math.exp(log_l2 - log_sup)
     return EquivalenceReport(l2_norm=exp_or_inf(log_l2), sup_norm=exp_or_inf(log_sup),
                              ratio=ratio, constant=constant)
@@ -141,11 +140,10 @@ class DecayFit:
 
 def _shell_points(a: CoefficientField, floor: float):
     """(number of shells that hold a nonzero term, the shells m whose maximum
-    b_m exceeds the floor, log b_m on those shells)."""
-    shells, maxima = a.shell_maxima()
-    usable = maxima > floor
-    ys = np.array([math.log(b) for b in maxima[usable].tolist()])
-    return shells.size, shells[usable].astype(float), ys
+    b_m = max_{|n|=m} |a_n| exceeds the floor in log, log b_m on those shells)."""
+    shells, log_maxima = a._shells[2], _shell_log_norms(a, math.inf)
+    usable = log_maxima > math.log(floor)
+    return shells.size, shells[usable].astype(float), log_maxima[usable]
 
 
 def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t):
@@ -333,7 +331,7 @@ class EtaResult(NamedTuple):
 
 
 MAX_ETA_POWERS = 2**19  # cap on N_max: the ratio list, and about a second on a two-term field
-MAX_ETA_WORK = 2**26  # cap on N_max x nonzero terms: 2.0-2.2 s at the cap on a 7381-term field (2-core VM)
+MAX_ETA_WORK = 2**26  # cap on N_max x nonzero shells: 2.4-2.6 s at the cap on 121 shells (2-core VM)
 
 
 def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaResult:
@@ -343,15 +341,13 @@ def eta_seminorm(a: CoefficientField, params: SpaceParams, N_max: int) -> EtaRes
     when the ratio is still strictly increasing at N_max, i.e. the supremum
     was not witnessed within range.  All ratios are formed in log space
     termwise, so monotonicity in h and alpha holds exactly in floating point.
-    Each ||E^N f|| is one `log_iterate_norm` call, which serves a run of
-    consecutive N from one window per field.  N_max above MAX_ETA_POWERS, or
-    N_max times the nonzero terms above MAX_ETA_WORK, is a DomainError, raised
-    before any norm is computed.
-    """
+    Each ||E^N f|| is one `log_iterate_norm` call (one window per run of N).
+    N_max above MAX_ETA_POWERS, or N_max times the nonzero shells above
+    MAX_ETA_WORK, is a DomainError, raised before any norm is computed."""
     N_max = _check_count(N_max, f"N_max must be an integer in [1, {MAX_ETA_POWERS}]", 1, MAX_ETA_POWERS)
-    terms = a._shells[0].size
-    if (work := N_max * terms) > MAX_ETA_WORK:
-        raise DomainError(f"N_max {N_max} over {terms} nonzero terms makes {work} iterate-norm terms,"
+    shells = a._shells[2].size
+    if (work := N_max * shells) > MAX_ETA_WORK:
+        raise DomainError(f"N_max {N_max} over {shells} nonzero shells makes {work} iterate-norm terms,"
                           f" above the cap of {MAX_ETA_WORK}")
     log_h = math.log(params.scale)
     # a zero norm (-inf) minus finite terms stays -inf

@@ -73,6 +73,7 @@ def _check_truncation(kind: str, dim: int, degree: int) -> tuple[int, int]:
 
 
 MAX_INDEX_ENTRIES = 2**26  # cap on the entries (terms x dim) of one truncation_index array (512 MiB)
+MAX_SHELL_COUNT_WORK = 2**20  # cap on dim x shells of one truncation_shell_counts list
 
 
 def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
@@ -105,14 +106,19 @@ def truncation_index(kind: str, dim: int, degree: int) -> np.ndarray:
 
 def truncation_shell_counts(kind: str, dim: int, degree: int) -> list[int]:
     """Exact number of multi-indices on each shell |n| = m of the truncation
-    set: comb(m+dim-1, dim-1) for "total", the dim-fold convolution of
-    degree+1 ones for "box"; memory O(dim * degree), not O(set size)."""
+    set: comb(m+dim-1, dim-1) for "total", dim running sums of degree+1
+    entries for "box"; memory O(dim * degree).  A set of more than
+    MAX_SHELL_COUNT_WORK dim x shells is a DomainError, raised before any work."""
     dim, degree = _check_truncation(kind, dim, degree)
+    if dim * (shells := (1 if kind == "total" else dim) * degree + 1) > MAX_SHELL_COUNT_WORK:
+        raise DomainError(f"the {kind} truncation set of degree {degree} in dimension {dim} has {shells}"
+                          f" shells; counting them is capped at {MAX_SHELL_COUNT_WORK} dim x shells")
     if kind == "total":
         return [math.comb(m + dim - 1, dim - 1) for m in range(degree + 1)]
     counts = np.ones(1, dtype=object)  # Python ints, so no count can overflow
-    for _ in range(dim):
-        counts = np.convolve(counts, np.ones(degree + 1, dtype=object))
+    for _ in range(dim if degree else 0):  # degree 0: one shell of one index
+        run = np.cumsum(np.concatenate([counts, np.zeros(degree, dtype=object)]))
+        counts = run - np.concatenate([np.zeros(degree + 1, dtype=object), run[:-degree - 1]])
     return counts.tolist()
 
 

@@ -98,19 +98,31 @@ def _logsumexp(x: np.ndarray):
     return out if x.ndim > 1 else float(out)
 
 
-def _log_norms(a: CoefficientField, shell_log_weights: np.ndarray, p: float) -> np.ndarray:
-    """log of the l^p norm of {|a_n| e^{w_m}} over the nonzero terms for each
-    row of the (rows, shells) log weights, w_m = row[k] at shell m =
-    a._shells[2][k]; -inf where the norm is zero.  The terms of the shells
-    where the first row is -inf are left out: every row must be -inf on the
-    same shells, so each row sums what its 1-D log-sum-exp sums, to the bit.
-    Where p times the largest log leaves binary64 the logs are shifted by it
-    before they are scaled, so with several rows p times every log must stay
-    in binary64 (as it does for the p = 2 rows of `log_iterate_norm`)."""
-    _, shell_of, _ = a._shells
-    kept = shell_log_weights[0].take(shell_of) > -math.inf  # log|a_n| is finite
-    log_abs, shell_of = a._log_abs[kept], shell_of[kept]
-    logs = log_abs + shell_log_weights.take(shell_of, axis=1)  # C order, as take keeps it
+def _shell_log_norms(a: CoefficientField, p: float) -> np.ndarray:
+    """log of the l^p norm of {|a_n| : |n| = m} for each shell m of a._shells:
+    log b_m + log(sum (|a_n| / b_m)^p) / p with b_m the shell's largest |a_n|,
+    by math.log, so one term per shell gives math.log|a_n| and p = inf gives
+    log b_m, to the bit.  A shell's terms are one run in `index` order."""
+    terms, shell_of, shells = a._shells
+    top = mags = np.abs(a.values[terms])
+    if shells.size < terms.size:  # some shell holds several terms
+        top = np.maximum.reduceat(mags, starts := np.searchsorted(shell_of, np.arange(shells.size)))
+    log_top = np.array([math.log(b) for b in top.tolist()])
+    if math.isinf(p) or top is mags:  # the sum's log over p is 0: one term, or ties at inf
+        return log_top
+    return log_top + np.log(np.add.reduceat((mags / top[shell_of]) ** p, starts)) / p
+
+
+def _log_norms(profile: np.ndarray, shell_log_weights: np.ndarray, p: float) -> np.ndarray:
+    """log of the l^p norm of {|a_n| e^{w_m}} for each row w of the (rows, shells)
+    log weights: the log-sum-exp of p (profile + w) over the shells, over p, with
+    profile = `_shell_log_norms(a, p)`; -inf where the norm is zero.  Shells where
+    the first row is -inf are left out (every row must be -inf there), so each row
+    is its 1-D log-sum-exp to the bit.  Where p times the largest log leaves
+    binary64 the logs are shifted by it first, so with several rows p times every
+    log must stay in binary64 (as for `log_iterate_norm`'s p = 2 rows)."""
+    kept = np.flatnonzero(shell_log_weights[0] > -math.inf)
+    logs = profile[kept] + shell_log_weights.take(kept, axis=1)  # C order, as take keeps it
     top = logs.max(initial=-math.inf)
     if math.isinf(p) or math.isinf(top):  # the sup norm, no terms, or a weight of inf
         return logs.max(axis=1, initial=-math.inf)
@@ -127,24 +139,23 @@ ITERATE_WINDOW_VALUES = 2**11  # entries of one window of iterate norms
 def log_iterate_norm(a: CoefficientField, N: int) -> float:
     """log of the L2 norm of E^N applied to the truncated series, for
     0 <= N <= 2^53; -inf when the norm is zero.  By orthonormality the norm
-    is sqrt(sum |n|^{2N} a_n^2), summed in log space so no power overflows;
-    `exp_or_inf` of the result is the norm, inf where it exceeds binary64.
+    is sqrt(sum_m m^{2N} P_m), P_m = sum_{|n|=m} a_n^2, summed in log space so
+    no power overflows; `exp_or_inf` of it is the norm, inf past binary64.
 
-    The field keeps the last window of B = max(1, ITERATE_WINDOW_VALUES //
-    terms) consecutive powers (terms: a_n != 0 with |n| > 0), one `_log_norms`
-    call on the rows powers x math.log|n| from N on, so a run of calls at N,
-    N+1, ... costs one (B x terms) log-sum-exp per B powers.  Each value is
-    the per-N log-sum-exp to the bit."""
+    The field keeps its p = 2 profile (`_shell_log_norms`), math.log m per
+    shell and the last window of B = max(1, ITERATE_WINDOW_VALUES // shells)
+    powers from N on (shells with a nonzero term and m > 0): calls at N, N+1,
+    ... cost one `_log_norms` call per B powers, each value to the bit."""
     N = _check_count(N, "operator power must be an integer in [0, 2^53]", hi=MAX_OPERATOR_POWER)
-    _, shell_of, shells = a._shells
+    if (cached := getattr(a, "_iterate_window", None)) is None:
+        log_m = np.array([math.log(m) if m else -math.inf for m in a._shells[2].tolist()])
+        cached = a._iterate_window = [_shell_log_norms(a, 2), log_m, 0, ()]
+    profile, log_m, start, window = cached
     if N == 0:  # 0^0 = 1: every nonzero term, |n| = 0 included
-        return float(_log_norms(a, np.zeros((1, shells.size)), 2)[0])
-    start, window = getattr(a, "_iterate_window", (0, ()))
+        return float(_log_norms(profile, np.zeros((1, log_m.size)), 2)[0])
     if not start <= N < start + len(window):
-        log_m = np.array([math.log(m) if m else -math.inf for m in shells.tolist()])
-        B = max(1, ITERATE_WINDOW_VALUES // max(1, np.count_nonzero(shells[shell_of])))
-        powers = N + np.arange(B, dtype=np.float64)
-        start, window = a._iterate_window = N, _log_norms(a, np.multiply.outer(powers, log_m), 2)
+        powers = N + np.arange(max(1, ITERATE_WINDOW_VALUES // max(1, np.count_nonzero(a._shells[2]))))
+        start, window = cached[2:] = N, _log_norms(profile, np.multiply.outer(powers, log_m), 2)
     return float(window[N - start])
 
 

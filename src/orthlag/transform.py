@@ -141,19 +141,6 @@ class CoefficientField:
         shells, shell_of = np.unique(self.orders[terms], return_inverse=True)
         return _readonly(terms), _readonly(shell_of), _readonly(shells)
 
-    @cached_property
-    def _log_abs(self) -> np.ndarray:
-        """math.log|a_n| over the nonzero terms, in `index` order."""
-        return _readonly(np.array([math.log(v) for v in np.abs(self.values[self._shells[0]]).tolist()]))
-
-    def shell_maxima(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shells m, max |a_n| over |n| = m), over the shells that hold a
-        nonzero term, in increasing m."""
-        terms, shell_of, shells = self._shells
-        maxima = np.zeros(shells.size)
-        np.maximum.at(maxima, shell_of, np.abs(self.values[terms]))
-        return shells, maxima
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

@@ -177,6 +177,18 @@ class TestNormEquivalence:
         with pytest.raises(DomainError):
             norm_equivalence_gap(a, h=1.0, h1=1.0, alpha=1.0)
 
+    @pytest.mark.parametrize("kind", ["total", "box"])
+    def test_a_high_truncation_degree_is_a_one_line_error(self, kind):
+        # the constant sums over every shell of the truncation set: at degree
+        # 10^6 the total set took 0.97 s and the box set did not finish
+        a = CoefficientField(2, kind, 10**6, {(0, 0): 1.0})
+        with pytest.raises(DomainError, match="dim x shells") as err:
+            norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1.0)
+        assert "\n" not in str(err.value)
+        small = CoefficientField(2, kind, 1000, {(0, 0): 1.0, (1000, 0): 0.5})
+        rep = norm_equivalence_gap(small, h=2.0, h1=1.0, alpha=1.0)
+        assert 0 < rep.ratio <= rep.constant
+
     SMALL_ALPHA_FIELD = {(0,): 1.0, (1,): -0.5, (2,): 0.25, (3,): 0.125}
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-3])

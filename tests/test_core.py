@@ -252,6 +252,41 @@ class TestMultiIndices:
             assert truncation_shell_counts(kind, dim, degree) == counts.tolist()
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_box_shell_counts_match_the_convolution_of_ones(self, dim):
+        # the former dim-fold convolution of degree+1 ones, kept as the reference
+        for degree in (0, 1, 9, 40):
+            want = np.ones(1, dtype=object)
+            for _ in range(dim):
+                want = np.convolve(want, np.ones(degree + 1, dtype=object))
+            assert truncation_shell_counts("box", dim, degree) == want.tolist()
+
+    @pytest.mark.parametrize("kind,dim,degree", [
+        ("total", 2, 10**6), ("box", 2, 10**6), ("box", 1025, 1), ("total", 1, 2**63 - 1),
+        ("box", 10**9, 10**9),
+    ])
+    def test_shell_counts_over_the_cap_fail_before_any_work(self, monkeypatch, kind, dim, degree):
+        # ("box", 2, 10**6) ran past two minutes in the dim-fold convolution
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called before the size check")
+
+        monkeypatch.setattr(core, "np", NoArrays())
+        monkeypatch.setattr(core.math, "comb", None)
+        with pytest.raises(DomainError, match="dim x shells") as err:
+            truncation_shell_counts(kind, dim, degree)
+        assert "\n" not in str(err.value)
+
+    def test_shell_counts_at_the_cap(self):
+        cap = core.MAX_SHELL_COUNT_WORK
+        assert len(truncation_shell_counts("total", 2, cap // 2 - 1)) == cap // 2
+        assert truncation_shell_counts("box", cap, 0) == [1]
+        with pytest.raises(DomainError, match="dim x shells"):
+            truncation_shell_counts("total", 2, cap // 2)
+        with pytest.raises(DomainError, match="dim x shells"):
+            truncation_shell_counts("box", cap + 1, 0)
+
+
 def reference_compositions(total, parts):
     """The former recursive generator, kept as the reference: all multi-indices
     with `parts` entries summing to `total`, lexicographic."""

@@ -97,21 +97,23 @@ def test_counts_at_the_upper_bound_are_accepted(name):
 
 
 def test_eta_work_cap_on_both_sides():
-    # d = 2, total degree 127: 8256 terms, all nonzero; N_max = 8128 is the
-    # largest whose N_max x terms stays within MAX_ETA_WORK
-    index = truncation_index("total", 2, 127)
-    a = CoefficientField._from_arrays(2, "total", 127, index, np.exp(-0.05 * index.sum(axis=1)))
-    terms = a.values.size
-    nmax = MAX_ETA_WORK // terms
-    assert (terms, nmax) == (8256, 8128) and nmax < MAX_ETA_POWERS
-    with pytest.raises(DomainError, match=f"over {terms} nonzero terms .* above the cap of {MAX_ETA_WORK}") as err:
+    # d = 2, the terms (m, 0) and (0, m) for m <= 4095: 8191 terms on 4096
+    # shells; N_max = 16384 is the largest whose N_max x shells stays within
+    # MAX_ETA_WORK (counting terms would stop at 8193)
+    m = np.arange(4096)
+    index = np.concatenate([np.column_stack([m, 0 * m]), np.column_stack([0 * m[1:], m[1:]])])
+    a = CoefficientField._from_arrays(2, "total", 4095, index, np.exp(-0.05 * index.sum(axis=1)))
+    terms, shells = a.values.size, a._shells[2].size
+    nmax = MAX_ETA_WORK // shells
+    assert (terms, shells, nmax) == (8191, 4096, 16384) and nmax < MAX_ETA_POWERS
+    with pytest.raises(DomainError, match=f"over {shells} nonzero shells .* above the cap of {MAX_ETA_WORK}") as err:
         eta_seminorm(a, PARAMS, nmax + 1)
     assert "\n" not in str(err.value)
     assert eta_seminorm(a, PARAMS, nmax).argmax >= 1
 
 
 def test_eta_work_cap_counts_the_nonzero_terms():
-    # 2^20 stored records and one term: the work is 65 x 1 term, not 65 x 2^20 records
+    # 2^20 stored records and one term: the work is 65 x 1 shell, not 65 x 2^20 records
     values = np.zeros(2**20)
     values[1] = 1.0
     a = CoefficientField._from_arrays(1, "total", 2**20 - 1, np.arange(2**20)[:, None], values)

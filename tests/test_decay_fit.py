@@ -172,7 +172,7 @@ def test_fit_memory_is_bounded_by_the_block_cap():
     n = 100_000
     index = np.arange(n).reshape(-1, 1)
     a = CoefficientField._from_arrays(1, "total", n - 1, index, np.exp(-0.05 * np.arange(n) ** 0.5))
-    a.shell_maxima()
+    a._shells  # the shell table is the field's, not the fit's
     tracemalloc.start()
     try:
         fit = estimate_decay_params(a)

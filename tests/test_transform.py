@@ -18,7 +18,7 @@ from orthlag.core import (
     validate_multi_index,
 )
 from orthlag.fields import exp_decay_field, laguerre_field, separable_poly_exp_field
-from orthlag.operators import apply_E_pointwise
+from orthlag.operators import _shell_log_norms, apply_E_pointwise
 from orthlag.quadrature import gauss_laguerre_rule
 from orthlag.transform import (
     CoefficientField,
@@ -599,8 +599,8 @@ class TestCoefficientField:
 
     def test_shell_maxima(self):
         a = CoefficientField(2, "total", 2, {(1, 0): -3.0, (0, 1): 2.0, (2, 0): 0.5})
-        shells, maxima = a.shell_maxima()
-        assert shells.tolist() == [1, 2] and maxima.tolist() == [3.0, 0.5]
+        assert a._shells[2].tolist() == [1, 2]
+        assert _shell_log_norms(a, math.inf).tolist() == [math.log(3.0), math.log(0.5)]
 
     def test_orders_stay_within_int64(self):
         # a box index may reach dim * degree, which must stay below 2^63
@@ -744,26 +744,27 @@ class TestArrayContainer:
         assert a.orders.tolist() == [0, 1, 2, 3, 3]
         terms, shell_of, shells = a._shells  # the stored zeros at |n| = 2 and 3 are in no shell
         assert terms.tolist() == [0, 1, 3] and shell_of.tolist() == [0, 1, 2] and shells.tolist() == [0, 1, 3]
-        assert a._log_abs.tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
-        assert a._shells is a._shells and a._log_abs is a._log_abs  # built once
-        for arr in (terms, shell_of, shells, a._log_abs):
+        assert a._shells is a._shells  # built once
+        for arr in (terms, shell_of, shells):
             with pytest.raises(ValueError):
                 arr[...] = 0
-        shells, maxima = a.shell_maxima()
-        assert shells.tolist() == [0, 1, 3] and maxima.tolist() == [0.5, 4.0, 2.0]
+        # one-term shells: each shell's log norm is math.log|a_n| for every p
+        for p in (1, 2, math.inf):
+            assert _shell_log_norms(a, p).tolist() == [math.log(0.5), math.log(4.0), math.log(2.0)]
 
     def test_fields_made_from_a_field_build_their_own_table(self):
         from orthlag.operators import apply_E_spectral, semigroup_propagate
 
         a = CoefficientField(2, "total", 3, {(1, 2): -2.0, (0, 0): 0.5, (3, 0): 0.0, (0, 1): 4.0})
-        a._shells, a._log_abs  # build the caches
+        a._shells  # build the table
         derived = (a.with_values([0.0, 3.0, 1e-300, -7.0]), apply_E_spectral(a, 2),
                    semigroup_propagate(a, 0.5), semigroup_propagate(a, 800.0))
         for b in derived:
-            assert "_shells" not in vars(b) and "_log_abs" not in vars(b)
+            assert "_shells" not in vars(b)
             terms, shell_of, shells = b._shells
             assert terms.tolist() == [i for i, v in enumerate(b.values.tolist()) if v != 0.0]
-            assert b._log_abs.tolist() == [math.log(abs(b.values[i])) for i in terms.tolist()]
+            maxima = [max(abs(b.values[terms[shell_of == k]])) for k in range(shells.size)]
+            assert _shell_log_norms(b, math.inf).tolist() == [math.log(v) for v in maxima]
             assert shells[shell_of].tolist() == b.orders[terms].tolist()
             assert shells.tolist() == sorted(set(b.orders[terms].tolist()))
         assert derived[0]._shells[0].tolist() == [1, 2, 3]  # a new zero leaves the table

@@ -89,7 +89,8 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     """Compare ||a||_{l2, theta_{h1}} against ||a||_{linf, theta_h} (h1 < h).
 
     The bound constant is the truncated value of
-    C = (sum over the truncation set of e^{2 (h1-h) |n|^{1/(2 alpha)}})^{1/2}.
+    C = (sum over the truncation set of e^{2 (h1-h) |n|^{1/(2 alpha)}})^{1/2},
+    inf where it exceeds binary64.
     The ratio comes from the log norms, so it stays finite where both norms
     exceed binary64 (small alpha).  The report carries the ratio and the
     constant; whether the bound holds is the caller's comparison."""
@@ -98,9 +99,12 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     counts = truncation_shell_counts(a.truncation_kind, a.dim, a.degree)
     log_l2 = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h1), 2)
     log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
-    # per shell e^{-2 (h-h1) m^{1/(2 alpha)}}, which is 0 where the exponent overflows
+    # C^2 as a log-sum-exp over the shells of log count_m - 2 (h-h1) m^{1/(2 alpha)} (-inf where
+    # the exponent overflows; a Python-int count may pass binary64), so C is inf past binary64
     gap = SpaceParams(alpha=alpha, scale=h - h1)
-    constant = math.sqrt(math.fsum(c * math.exp(-2 * log_theta_weight(m, gap)) for m, c in enumerate(counts)))
+    logs = [math.log(c) - 2 * log_theta_weight(m, gap) for m, c in enumerate(counts)]
+    top = max(logs)
+    constant = exp_or_inf(top / 2) * math.sqrt(math.fsum(math.exp(v - top) for v in logs))
     ratio = 0.0 if log_sup == -math.inf else math.exp(log_l2 - log_sup)
     return EquivalenceReport(l2_norm=exp_or_inf(log_l2), sup_norm=exp_or_inf(log_sup),
                              ratio=ratio, constant=constant)
@@ -156,7 +160,9 @@ def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t):
     residuals are formed explicitly, since Syy - slope * Spy cancels on
     exact data and would leave the exponent search minimising noise.  ys is
     shifted by ys[0] before centring, so constant data has slope exactly 0,
-    and 0 - slope turns that into c = 0.0, never -0.0."""
+    and 0 - slope turns that into c = 0.0, never -0.0.  The sums are einsums,
+    which reduce each row alike (a matmul need not), so a row of the array
+    path is the scalar path's fit to the bit."""
     n = ms.size
     dphi = ms ** np.asarray(t, dtype=float)[..., None]  # one row per exponent, centred in place
     phi_bar = dphi.sum(axis=-1, keepdims=True) / n
@@ -164,7 +170,7 @@ def _linear_decay_fit(ms: np.ndarray, ys: np.ndarray, t):
     dy = ys - ys[0]
     dy_bar = dy.sum() / n
     dy -= dy_bar
-    slope = (dphi @ dy) / np.einsum("...i,...i->...", dphi, dphi)
+    slope = np.einsum("...i,...i->...", dphi, dy) / np.einsum("...i,...i->...", dphi, dphi)
     dphi *= -slope[..., None]
     resid = np.add(dy, dphi, out=dphi)
     rms = np.sqrt(np.einsum("...i,...i->...", resid, resid) / n)

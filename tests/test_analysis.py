@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.laguerre import lag2poly
 
+from orthlag import analysis
 from orthlag.analysis import (
     DEFAULT_FIT_FLOOR,
     InsufficientSupportError,
@@ -235,6 +236,24 @@ class TestNormEquivalence:
         a = CoefficientField(1, "total", 3, self.SMALL_ALPHA_FIELD)
         with pytest.raises(DomainError, match="beyond binary64"):
             norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1e-5)
+
+    def test_shell_counts_past_binary64(self):
+        # C(2045, 1022) passes binary64: multiplied as a float it ended in an OverflowError
+        import mpmath
+
+        dim = degree = 1023
+        a = CoefficientField(dim, "total", degree, {(0,) * dim: 1.0})
+        rep = norm_equivalence_gap(a, h=2.0, h1=1.0, alpha=1.0)
+        with mpmath.workdps(30):
+            want = mpmath.sqrt(mpmath.fsum(math.comb(m + dim - 1, dim - 1) * mpmath.exp(-2 * mpmath.sqrt(m))
+                                           for m in range(degree + 1)))
+        assert rep.ratio == 1.0 and rep.constant == pytest.approx(float(want), rel=1e-13)
+
+    def test_a_constant_past_binary64_is_inf(self, monkeypatch):
+        # no truncation set under the shell-count cap holds 2^2048 indices, so the counts are patched
+        monkeypatch.setattr(analysis, "truncation_shell_counts", lambda kind, dim, degree: [1, 10**700])
+        rep = norm_equivalence_gap(CoefficientField(1, "total", 1, {(0,): 1.0}), h=2.0, h1=1.0, alpha=1.0)
+        assert rep.constant == math.inf and rep.ratio == 1.0
 
 
 class TestDecayFit:

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.laguerre import lagval
 
 from orthlag import core
@@ -519,3 +519,33 @@ class TestOneDerivativePath:
             assert laguerre_fn_sweep(deg, x).tobytes() == laguerre_fn_sweep(7, x).tobytes()
             for got, want in zip(laguerre_fn_derivative_sweep(deg, x), laguerre_fn_derivative_sweep(7, x)):
                 assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# short damped sweeps on Python floats against the array loop
+# ---------------------------------------------------------------------------
+
+SHORT = core.SCALAR_SWEEP_POINTS
+# 0, the rest of the damped range, the edge where e^{-x/2} turns subnormal (x ~ 1416.79)
+# and past it, where every point of the sweep takes the array loop
+SWEEP_COORDS = st.one_of(st.just(0.0), st.floats(0.0, 1416.0), st.floats(1415.0, 1418.0), st.floats(1418.0, 3000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_degree=st.integers(0, 120), x=st.lists(SWEEP_COORDS, min_size=1, max_size=2 * SHORT + 1))
+@example(max_degree=20, x=[0.5 * k for k in range(SHORT)])
+@example(max_degree=20, x=[0.5 * k for k in range(SHORT + 1)])
+@example(max_degree=0, x=[1416.0])
+@example(max_degree=1, x=[1416.0, 0.0])
+def test_short_sweeps_are_the_array_loop_bit_for_bit(max_degree, x):
+    # padded past SHORT points, the same points go through the array loop; the
+    # recurrence runs on each point alone, so each column must keep its bits
+    # (compared as bytes, so a signed zero counts too)
+    x = np.array(x)
+    padded = np.concatenate([x, np.linspace(0.0, 30.0, SHORT + 1)])
+    assert laguerre_fn_sweep(max_degree, x).shape == (max_degree + 1, x.size)
+    pairs = zip((laguerre_fn_sweep(max_degree, x), *laguerre_fn_derivative_sweep(max_degree, x)),
+                (laguerre_fn_sweep(max_degree, padded), *laguerre_fn_derivative_sweep(max_degree, padded)))
+    for got, want in pairs:
+        for k in range(x.size):
+            assert got[:, k].tobytes() == want[:, k].tobytes()

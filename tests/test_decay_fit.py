@@ -1,6 +1,7 @@
-"""The closed-form decay-fit kernel against the `np.linalg.lstsq` fit it
-replaced, which is kept here as the reference, and the classifier paths
-that use it."""
+"""The closed-form decay-fit kernel against the exact least-squares line
+(mpmath), and the classifier paths that use it against the same paths on
+the `np.linalg.lstsq` fit the kernel replaced, which is kept here as their
+reference."""
 
 import functools
 import importlib
@@ -8,9 +9,10 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthlag import analysis, cli
 from orthlag.analysis import (
@@ -70,37 +72,60 @@ def stretched(c, t, degree=400):
     return decay_field(1, degree, lambda m: c * m ** t if c * m ** t < 700 else math.inf)
 
 
-# the data-relative distance between the closed form and lstsq: both are
-# backward stable, and over 20000 random draws it stayed below 1e-13
+def exact_fit_line(ms, ys, t):
+    """The exact least-squares line through the points (ms^t, ys), with ms^t
+    the binary64 values the kernel forms, by 60-digit mpmath: its values at
+    the two ends of ms^t and its rms residual, each rounded once."""
+    phi = ms ** t
+    with mpmath.workdps(60):
+        p, y = [mpmath.mpf(v) for v in phi.tolist()], [mpmath.mpf(v) for v in ys.tolist()]
+        p_bar, y_bar = mpmath.fsum(p) / len(p), mpmath.fsum(y) / len(y)
+        slope = mpmath.fsum((u - p_bar) * (v - y_bar) for u, v in zip(p, y)) / mpmath.fsum((u - p_bar) ** 2 for u in p)
+        rms = mpmath.sqrt(mpmath.fsum((v - y_bar - slope * (u - p_bar)) ** 2 for u, v in zip(p, y)) / len(p))
+        return [float(y_bar + slope * (mpmath.mpf(e) - p_bar)) for e in (phi.min(), phi.max())], float(rms)
+
+
+def line_at(fit, p):
+    """log C - c p of a kernel fit (log C, c, rms), without rounding."""
+    with mpmath.workdps(60):
+        return float(mpmath.mpf(fit[0]) - mpmath.mpf(fit[1]) * mpmath.mpf(p))
+
+
+# the data-relative distance between the kernel's line and the exact one: on
+# two adjacent shells near 3000 at t = 0.05, |log C| reaches about 6e4 times
+# the data, where one ulp of log C is about 1e-11 of the data
 KERNEL_TOL = 1e-11
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    shells=st.sets(st.integers(0, 3000), min_size=2, max_size=60),
-    data=st.data(),
+    points=st.lists(st.tuples(st.integers(0, 3000), st.floats(-700.0, 0.0)),
+                    min_size=2, max_size=60, unique_by=lambda point: point[0]),
     t=st.floats(0.05, 4.0),
 )
-def test_the_kernel_matches_the_lstsq_reference(shells, data, t):
-    ms = np.array(sorted(shells), dtype=float)
-    ys = np.array(data.draw(st.lists(st.floats(-700.0, 0.0), min_size=ms.size, max_size=ms.size)))
+# lstsq on the uncentred design [1, -m^4] (condition about 1e15) read rank 1 here:
+# residual 0.499 where the exact line passes through both points
+@example(points=[(1351, 0.0), (1352, -1.0)], t=4.0)
+def test_the_kernel_matches_the_exact_fit(points, t):
+    ms, ys = (np.array(v, dtype=float) for v in zip(*sorted(points)))
     phi = ms ** t
     scale = 1.0 + float(np.max(np.abs(ys)))
-    got, ref = _linear_decay_fit(ms, ys, t), lstsq_decay_fit(ms, ys, t)
+    got = _linear_decay_fit(ms, ys, t)
     assert all(type(v) is float for v in got)
-    # the two fitted lines agree over the data, and so do the residuals
-    for p in (phi.min(), phi.max()):
-        assert abs((got[0] - ref[0]) - (got[1] - ref[1]) * p) <= KERNEL_TOL * scale
-    assert abs(got[2] - ref[2]) <= KERNEL_TOL * scale
-    # the array path gives every exponent the scalar path's fit
+    # the fitted line agrees with the exact one over the data, and so does the residual
+    ends, rms = exact_fit_line(ms, ys, t)
+    for p, want in zip((phi.min(), phi.max()), ends):
+        assert abs(line_at(got, p) - want) <= KERNEL_TOL * scale
+    assert abs(got[2] - rms) <= KERNEL_TOL * scale
+    # the array path gives every exponent the scalar path's fit, on the line over the data
     ts = np.array([0.05, t, 4.0])
     rows = _linear_decay_fit(ms, ys, ts)
     assert all(r.shape == (3,) for r in rows)
     for k, s in enumerate(ts.tolist()):
         one = _linear_decay_fit(ms, ys, s)
-        spread = 1.0 + float(np.ptp(ms ** s))
         assert rows[0][k] == pytest.approx(one[0], rel=1e-13, abs=1e-13 * scale)
-        assert abs(rows[1][k] - one[1]) * spread <= 1e-13 * scale
+        for p in (ms.min() ** s, ms.max() ** s):
+            assert abs((rows[0][k] - one[0]) - (rows[1][k] - one[1]) * p) <= 1e-13 * scale
         assert rows[2][k] == pytest.approx(one[2], rel=1e-13, abs=1e-13 * scale)
 
 

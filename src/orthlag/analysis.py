@@ -99,12 +99,11 @@ def norm_equivalence_gap(a: CoefficientField, h: float, h1: float, alpha: float)
     counts = truncation_shell_counts(a.truncation_kind, a.dim, a.degree)
     log_l2 = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h1), 2)
     log_sup = log_weighted_seq_norm(a, SpaceParams(alpha=alpha, scale=h), math.inf)
-    # C^2 as a log-sum-exp over the shells of log count_m - 2 (h-h1) m^{1/(2 alpha)} (-inf where
-    # the exponent overflows; a Python-int count may pass binary64), so C is inf past binary64
+    # log C^2 is the l^1 log norm over the shells of count_m (a Python int may pass binary64)
+    # weighted by e^{-2 (h-h1) m^{1/(2 alpha)}} (-inf where the exponent overflows)
     gap = SpaceParams(alpha=alpha, scale=h - h1)
-    logs = [math.log(c) - 2 * log_theta_weight(m, gap) for m, c in enumerate(counts)]
-    top = max(logs)
-    constant = exp_or_inf(top / 2) * math.sqrt(math.fsum(math.exp(v - top) for v in logs))
+    weights = np.array([[-2 * log_theta_weight(m, gap) for m in range(len(counts))]])
+    constant = exp_or_inf(float(_log_norms(np.array([math.log(c) for c in counts]), weights, 1)[0]) / 2)
     ratio = 0.0 if log_sup == -math.inf else math.exp(log_l2 - log_sup)
     return EquivalenceReport(l2_norm=exp_or_inf(log_l2), sup_norm=exp_or_inf(log_sup),
                              ratio=ratio, constant=constant)
@@ -440,18 +439,19 @@ def _log_gtype_norms(a: CoefficientField, P: int) -> tuple[np.ndarray, np.ndarra
     Exact by Parseval: with s = p + k and b = D^p a, the squared norm is
     <J^t b, J^{s-t} b> at t = floor(s/2), J^t holding t_j Jacobi factors
     along each axis j.  Every D^p a sits in one stack of dense boxes of
-    max n_j + 1 + P entries per axis, which J^t never leaves.  Each D^p comes
-    from one D^{p-e_j} and each J^t from one J^{t-e_j}, rescaled after every
-    product with the log scale carried apart, so no P overflows."""
+    max n_j + 1 + P entries per axis (n over the terms), which J^t never
+    leaves.  Each D^p from one D^{p-e_j} and each J^t from one J^{t-e_j} is
+    rescaled after every product, the log scale carried apart: no P overflows."""
     n = math.comb(P + a.dim, a.dim)
-    box = [int(m) + 1 + P for m in a.index.max(axis=0, initial=0).tolist()]
+    index, values = a._terms
+    box = [int(m) + 1 + P for m in index.max(axis=0, initial=0).tolist()]
     width = math.prod(box)
     if n * width > MAX_GTYPE_BOX:
         raise DomainError(f"G-type seminorm at P={P} needs {n} x {width} dense"
                           f" coefficients, above the cap of {MAX_GTYPE_BOX}")
     orders = truncation_index("total", a.dim, P)
     dense = np.zeros([1] + box)
-    dense[(0, *a.index.T)] = a.values
+    dense[(0, *index.T)] = values
     lex = np.lexsort(orders.T[::-1])
     by_lex = orders[lex]  # row i of the stack is D^{by_lex[i]} a
     stack = zip(*_lex_walk(by_lex, _scaled(dense, np.zeros(1)), _derivative))

@@ -129,8 +129,8 @@ def cmd_analyze(args) -> int:
             raise DomainError(f"--dim {args.dim} does not match the dimension {a.dim} of {args.coeffs_in}")
         f = as_scalar_field(a)
     if args.coeffs_in is not None and rule.size > args.degree:
-        # exact while n_j + m_j <= 2K - 1 on every axis, where m_j <= degree
-        if (need := (int(a.index.max(initial=0)) + args.degree + 2) // 2) > rule.size:
+        # exact while n_j + m_j <= 2K - 1 on every axis and nonzero term, where m_j <= degree
+        if (need := (int(a._terms[0].max(initial=0)) + args.degree + 2) // 2) > rule.size:
             raise DomainError(f"a {rule.size}-node rule aliases {args.coeffs_in} at degree {args.degree}:"
                               f" exact needs at least {need} nodes (max n_j + degree <= 2K - 1)"
                               + (f", above the cap of {MAX_RULE_SIZE}" if need > MAX_RULE_SIZE else ""))

@@ -54,9 +54,9 @@ def _check_count(value, rule: str, lo: int = 0, hi: float = math.inf) -> int:
 
 def _validate_points(points, dim: int) -> np.ndarray:
     """Validate points on the closed orthant: an (npts, dim) array (one 1-D point is one row)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(given := np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != dim:
-        raise DomainError(f"points have dimension {pts.shape[-1]}, expected {dim}")
+        raise DomainError(f"points must have shape (npts, {dim}) or ({dim},), got {given.shape}")
     if not (pts.min(initial=0.0) >= 0 and pts.max(initial=0.0) < math.inf):  # NaN fails too
         if not np.isfinite(pts).all():
             raise DomainError("point coordinates must be finite")

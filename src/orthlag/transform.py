@@ -141,6 +141,13 @@ class CoefficientField:
         shells, shell_of = np.unique(self.orders[terms], return_inverse=True)
         return _readonly(terms), _readonly(shell_of), _readonly(shells)
 
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, values) of the nonzero terms: the rows at `_shells[0]`, or both arrays when none is zero."""
+        if self.values.all():
+            return self.index, self.values
+        return _readonly(self.index[self._shells[0]]), _readonly(self.values[self._shells[0]])
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -186,10 +193,10 @@ def analyze(
     return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
 
 
-def _sweep_blocks(a: CoefficientField, pts: np.ndarray, width: int = 1):
+def _sweep_blocks(index: np.ndarray, pts: np.ndarray, width: int = 1):
     """The point blocks in which `synthesize` and `as_scalar_field(a).deriv`
-    gather the terms: yields (first point, sweeps), where sweeps[j] holds
-    l_0..l_{max n_j} at x_j for the points of the block, as a
+    gather the terms with rows `index`: yields (first point, sweeps), where
+    sweeps[j] holds l_0..l_{max n_j} at x_j for the points of the block, as a
     (max n_j + 1, points) view.
 
     The points go in blocks of about 2^20 / (largest n_j + 1), cut into gather
@@ -201,20 +208,20 @@ def _sweep_blocks(a: CoefficientField, pts: np.ndarray, width: int = 1):
     working arrays are no longer than with one axis at a gather block) and in
     core.MAX_SWEEP_VALUES values; one axis always goes.  The recurrence runs
     on each point alone, so every value is the one a sweep per axis gives.
-    A field without terms has no blocks.
+    An index without rows has no blocks.
     """
-    if a.values.size == 0:
+    if len(index) == 0:
         return
     axes = {}  # m -> the axes j with max n_j = m
-    for j, m in enumerate(a.index.max(axis=0).tolist()):
+    for j, m in enumerate(index.max(axis=0).tolist()):
         axes.setdefault(m, []).append(j)
-    inner = max(1, 2**16 // (width * a.values.size))
+    inner = max(1, 2**16 // (width * len(index)))
     outer = max(1, 2**20 // (max(axes) + 1))
     outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
     for start in range(0, pts.shape[0], outer):
         chunk = pts[start:start + outer].T
         n = chunk.shape[1]
-        sweeps = [None] * a.dim
+        sweeps = [None] * index.shape[1]
         for m, same in axes.items():
             per = max(1, min(inner, core.MAX_SWEEP_VALUES // (m + 1)) // n)  # axes in one sweep
             for k in range(0, len(same), per):
@@ -229,18 +236,19 @@ def _sweep_blocks(a: CoefficientField, pts: np.ndarray, width: int = 1):
 def synthesize(a: CoefficientField, points) -> np.ndarray:
     """Evaluate the truncated series sum_n a_n l_n at each of the (npts, d) points.
 
-    Each term's factors l_{n_j}(x_j) are gathered by the columns of `index`
-    from the rows `_sweep_blocks` gives each axis (in a block, one sweep for
-    the axes that share max n_j), multiplied over the axes and summed against
-    `values`.
+    Each nonzero term's factors l_{n_j}(x_j) are gathered by the columns of
+    its index (`_terms`, so a stored zero raises no sweep's degree) from the
+    rows `_sweep_blocks` gives each axis (in a block, one sweep for the axes
+    that share max n_j), multiplied over the axes and summed against `values`.
     """
     pts = _validate_points(points, a.dim)
+    index, values = a._terms
     out = np.zeros(pts.shape[0])
-    for lo, sweeps in _sweep_blocks(a, pts):
-        terms = sweeps[0].take(a.index[:, 0], axis=0)  # (terms, points)
+    for lo, sweeps in _sweep_blocks(index, pts):
+        terms = sweeps[0].take(index[:, 0], axis=0)  # (terms, points)
         for j in range(1, a.dim):
-            terms *= sweeps[j].take(a.index[:, j], axis=0)
-        out[lo:lo + terms.shape[1]] = a.values @ terms
+            terms *= sweeps[j].take(index[:, j], axis=0)
+        out[lo:lo + terms.shape[1]] = values @ terms
     return out
 
 
@@ -254,19 +262,20 @@ def as_scalar_field(a: CoefficientField) -> ScalarField:
     def deriv(points):
         # the factor of axis j is differentiated, the others multiply as values
         pts = _validate_points(points, a.dim)
+        index, values = a._terms
         value = np.zeros(pts.shape[0])
         first, second = np.zeros((2, a.dim, pts.shape[0]))
-        for lo, sweeps in _sweep_blocks(a, pts, width=3):
+        for lo, sweeps in _sweep_blocks(index, pts, width=3):
             # l, l' and l'' of each axis, gathered for every term
-            factors = [[r.take(a.index[:, j], axis=0) for r in _derivative_rows(sweep)]
+            factors = [[r.take(index[:, j], axis=0) for r in _derivative_rows(sweep)]
                        for j, sweep in enumerate(sweeps)]
             rows = slice(lo, lo + sweeps[0].shape[1])
             vals = [v for v, _, _ in factors]
-            value[rows] = a.values @ math.prod(vals)
+            value[rows] = values @ math.prod(vals)
             for j, (_, d1, d2) in enumerate(factors):
                 rest = math.prod(vals[:j] + vals[j + 1:])
-                first[j, rows] = a.values @ (rest * d1)
-                second[j, rows] = a.values @ (rest * d2)
+                first[j, rows] = values @ (rest * d1)
+                second[j, rows] = values @ (rest * d2)
         return [(value, first[j], second[j]) for j in range(a.dim)]
 
     return ScalarField(dim=a.dim, evaluator=evaluator, deriv=deriv)

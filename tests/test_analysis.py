@@ -525,6 +525,13 @@ class TestGTypeSeminorm:
         tracemalloc.stop()
         assert peak < 2**20
 
+    def test_a_stored_zero_does_not_widen_the_box(self):
+        # the zero at 10^6 once made a box of 10^6 + 3 entries per order, above the cap
+        params = SpaceParams(1.0, 1.0)
+        zero = CoefficientField(1, "total", 10**6, {(2,): 1.0, (10**6,): 0.0})
+        l2 = CoefficientField(1, "total", 2, {(2,): 1.0})
+        assert gtype_seminorm(zero, params, 2) == gtype_seminorm(l2, params, 2)
+
     @pytest.mark.parametrize("P", [-1, 2.5])
     def test_rejects_a_bad_order(self, P):
         with pytest.raises(DomainError):

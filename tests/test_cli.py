@@ -218,7 +218,8 @@ class TestInputSizedAllocations:
 
 class TestAnalyzeCoeffsExactness:
     """A K-node rule reprojects a coefficient file exactly only while
-    max n_j + degree <= 2K - 1; past that, analyze --coeffs is a domain error."""
+    max n_j + degree <= 2K - 1, n over the nonzero terms; past that,
+    analyze --coeffs is a domain error."""
 
     ALIASING = "dim: 1\ntruncation_kind: total\ntruncation_degree: 400\n400,1.0\n"
 
@@ -246,10 +247,11 @@ class TestAnalyzeCoeffsExactness:
            nodes=st.one_of(st.none(), st.integers(1, 40)),
            terms=st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                                  st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    @example(dim=2, kind="total", degree=0, nodes=None, terms={(0, 32): 0.0})  # a stored zero is no term
     def test_whenever_the_guard_passes_the_output_is_the_restriction(self, dim, kind, degree, nodes, terms):
         entries = {n[:dim]: v for n, v in terms.items()}
         a = CoefficientField(dim, "total", max(sum(n) for n in entries), entries)
-        top = max(max(n) for n in entries)
+        top = max((max(n) for n, v in entries.items() if v), default=0)
         with tempfile.TemporaryDirectory() as tmp:
             src, dst = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
             write_coefficients(a, src)
@@ -268,6 +270,42 @@ class TestAnalyzeCoeffsExactness:
                 want = np.array([a.get(n) for n in b.index.tolist()])
                 scale = max(np.max(np.abs(a.values)), 1e-300)
                 assert np.max(np.abs(b.values - want)) <= 1e-12 * scale
+
+    def test_a_propagated_file_reprojects_its_terms(self, tmp_path, capsys):
+        # e^{-50 m} / (1+m)^2 leaves m = 0..14; the 386 records m,0.0 above them
+        # once made the 26-node rule "alias" as if max n_j were 400
+        src, prop, dst = tmp_path / "a.txt", tmp_path / "p.txt", tmp_path / "b.txt"
+        src.write_text("dim: 1\ntruncation_kind: total\ntruncation_degree: 400\n"
+                       + "".join(f"{m},{1.0 / (1 + m) ** 2!r}\n" for m in range(401)))
+        assert run(capsys, "propagate", "--time", "50", "--in", str(src), "--out", str(prop))[0] == 0
+        a = read_coefficients(prop)
+        assert np.count_nonzero(a.values) == 15
+        code, _, err = run(capsys, "analyze", "--coeffs", str(prop), "--degree", "10", "--out", str(dst))
+        assert code == 0 and err == ""
+        b = read_coefficients(dst)
+        want = a.values[:11]
+        assert np.max(np.abs(b.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 2), degree=st.integers(0, 12), nodes=st.one_of(st.none(), st.integers(1, 40)),
+           terms=st.dictionaries(st.tuples(st.integers(0, 20), st.integers(0, 20)), st.floats(0.1, 1.0),
+                                 max_size=4),
+           zeros=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=4))
+    def test_zero_records_change_no_exit_code_or_file(self, dim, degree, nodes, terms, zeros):
+        terms = {n[:dim]: v for n, v in terms.items()}
+        records = {**{n[:dim]: 0.0 for n in zeros}, **terms}
+        top = max(sum(n) for n in records)
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for entries in (records, terms):
+                src, dst = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+                dst.unlink(missing_ok=True)
+                write_coefficients(CoefficientField(dim, "total", top, entries), src)
+                argv = ["analyze", "--coeffs", str(src), "--degree", str(degree), "--out", str(dst)]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(argv + ([] if nodes is None else ["--nodes", str(nodes)]))
+                outcomes.append((code, err.getvalue(), dst.read_bytes() if dst.exists() else None))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSynthesize:

@@ -11,6 +11,7 @@ from orthlag.analysis import (
     SpaceParams,
     classify_membership,
     eta_seminorm,
+    gtype_seminorm,
     log_theta_weight,
     log_weighted_seq_norm,
 )
@@ -685,3 +686,9 @@ def test_a_stored_zero_changes_no_answer(case, N, t):
         assert same_bits(log_iterate_norm(b, M), log_iterate_norm(a, M))
     assert eta_seminorm(b, params, 12) == eta_seminorm(a, params, 12)
     assert classify_membership(b, 1.0) == classify_membership(a, 1.0)
+    # synthesis, derivatives and the G-type box read the terms alone
+    pts = np.random.default_rng(len(zeros)).uniform(0.0, 30.0, size=(5, a.dim))
+    assert synthesize(b, pts).tobytes() == synthesize(a, pts).tobytes()
+    for got, want in zip(as_scalar_field(b).deriv(pts), as_scalar_field(a).deriv(pts)):
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert repr(gtype_seminorm(b, params, 2)) == repr(gtype_seminorm(a, params, 2))

@@ -378,8 +378,8 @@ def unblocked_synthesize(a, points):
     """The former synthesis, kept as the reference: one sweep per axis over
     all the points at once, then the same gather blocks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sweeps = [laguerre_fn_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
-    block = max(1, 2**16 // a.values.size)
+    sweeps = [laguerre_fn_sweep(int(nj.max(initial=0)), pts[:, j]) for j, nj in enumerate(a.index.T)]
+    block = max(1, 2**16 // max(1, a.values.size))
     out = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], block):
         cols = slice(lo, lo + block)
@@ -417,8 +417,8 @@ def unblocked_deriv(a, points):
     derivative sweep per axis over all the points at once, then the same
     gather blocks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sweeps = [laguerre_fn_derivative_sweep(int(nj.max()), pts[:, j]) for j, nj in enumerate(a.index.T)]
-    block = max(1, 2**16 // (3 * a.values.size))
+    sweeps = [laguerre_fn_derivative_sweep(int(nj.max(initial=0)), pts[:, j]) for j, nj in enumerate(a.index.T)]
+    block = max(1, 2**16 // (3 * max(1, a.values.size)))
     value, (first, second) = np.empty(pts.shape[0]), np.empty((2, a.dim, pts.shape[0]))
     for lo in range(0, pts.shape[0], block):
         cols = slice(lo, lo + block)
@@ -451,6 +451,7 @@ def field_reaching(rng, degs, terms, zeros):
 @example(degs=[5, 2, 5, 9], terms=12, zeros=2, npts=1, far=False, seed=2)  # partly equal, one point
 @example(degs=[1, 4, 7, 12], terms=20, zeros=1, npts=30, far=True, seed=3)  # all different
 @example(degs=[2000, 2000], terms=300, zeros=3, npts=534, far=False, seed=4)  # several blocks, the last stacked
+@example(degs=[0, 7], terms=0, zeros=2, npts=3, far=False, seed=5)  # every record a stored zero
 @settings(max_examples=150, deadline=None)
 def test_stacked_sweeps_give_the_per_axis_values_bit_for_bit(degs, terms, zeros, npts, far, seed):
     # the axes that share max n_j go through one sweep; every synthesized value
@@ -460,8 +461,10 @@ def test_stacked_sweeps_give_the_per_axis_values_bit_for_bit(degs, terms, zeros,
     pts = rng.uniform(0.0, 60.0, size=(npts, a.dim))
     if far:  # the far path runs over every coordinate of the sweep that holds this one
         pts[0, 0] = rng.uniform(1417.0, 5000.0)
-    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
-    for got, want in zip(as_scalar_field(a).deriv(pts), unblocked_deriv(a, pts)):
+    # the references sum over the nonzero terms: a stored zero is a record, not a term
+    ref = CoefficientField(a.dim, "box", a.degree, {n: v for n, v in a.entries.items() if v})
+    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(ref, pts))
+    for got, want in zip(as_scalar_field(a).deriv(pts), unblocked_deriv(ref, pts)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -525,6 +528,11 @@ class TestSynthesize:
         a = CoefficientField(2, "total", 3, {})
         assert np.all(synthesize(a, [[1.0, 2.0], [0.0, 0.0]]) == 0.0)
 
+    def test_a_stored_zero_far_above_the_terms_is_not_swept(self):
+        # the zero at 10^8 once asked for a sweep of 10^8 + 1 values, above the cap
+        a = CoefficientField(1, "total", 10**8, {(2,): 1.0, (10**8,): 0.0})
+        assert synthesize(a, [[1.0]])[0] == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-15)  # l_2(1)
+
     def test_roundtrip_poly_exp(self, rule64):
         # f(x) = (1+x) e^{-x}
         f = separable_poly_exp_field([[1.0, 1.0]], [1.0])
@@ -547,6 +555,15 @@ class TestSynthesize:
         a = CoefficientField(1, "total", 2, {(1,): 1.0})
         with pytest.raises(DomainError):
             synthesize(a, [[-1.0]])
+
+    @pytest.mark.parametrize("points,shape", [(np.zeros((1, 1, 1)), "(1, 1, 1)"), ([[1.0, 2.0]], "(1, 2)"),
+                                              ([1.0, 2.0], "(2,)")])
+    def test_points_of_the_wrong_shape_name_it(self, points, shape):
+        # a 3-D array was reported as "points have dimension 1, expected 1"
+        a = CoefficientField(1, "total", 1, {(1,): 1.0})
+        with pytest.raises(DomainError) as err:
+            synthesize(a, points)
+        assert str(err.value) == f"points must have shape (npts, 1) or (1,), got {shape}"
 
     @pytest.mark.parametrize("point", [[math.nan, 1.0], [2.0, math.inf], [-math.inf, 0.0]])
     def test_rejects_non_finite_point(self, point):

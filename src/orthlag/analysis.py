@@ -443,8 +443,8 @@ def _log_gtype_norms(a: CoefficientField, P: int) -> tuple[np.ndarray, np.ndarra
     leaves.  Each D^p from one D^{p-e_j} and each J^t from one J^{t-e_j} is
     rescaled after every product, the log scale carried apart: no P overflows."""
     n = math.comb(P + a.dim, a.dim)
-    index, values = a._terms
-    box = [int(m) + 1 + P for m in index.max(axis=0, initial=0).tolist()]
+    index, values, reach = a._terms
+    box = [m + 1 + P for m in reach]
     width = math.prod(box)
     if n * width > MAX_GTYPE_BOX:
         raise DomainError(f"G-type seminorm at P={P} needs {n} x {width} dense"

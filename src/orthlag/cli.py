@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension (default: the l:<idx> length, else 1; the file's for --coeffs)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--truncation", choices=TRUNCATION_KINDS, default="total")
-    p.add_argument("--nodes", type=int, default=None, help="rule size (default degree + 16)")
+    p.add_argument("--nodes", type=int, default=None, help="rule size (default min(degree + 16, 512))")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synthesize", help="evaluate a coefficient file at points")
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="coeffs_in", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--p", default="2", help="norm index: 1, 2, or inf")
+    p.add_argument("--p", default="2", help="norm index: a float p >= 1, or inf")
 
     p = sub.add_parser("eta", help="operator-iterate seminorm")
     p.add_argument("--in", dest="coeffs_in", required=True)
@@ -130,7 +130,7 @@ def cmd_analyze(args) -> int:
         f = as_scalar_field(a)
     if args.coeffs_in is not None and rule.size > args.degree:
         # exact while n_j + m_j <= 2K - 1 on every axis and nonzero term, where m_j <= degree
-        if (need := (int(a._terms[0].max(initial=0)) + args.degree + 2) // 2) > rule.size:
+        if (need := (max(a._terms[2]) + args.degree + 2) // 2) > rule.size:
             raise DomainError(f"a {rule.size}-node rule aliases {args.coeffs_in} at degree {args.degree}:"
                               f" exact needs at least {need} nodes (max n_j + degree <= 2K - 1)"
                               + (f", above the cap of {MAX_RULE_SIZE}" if need > MAX_RULE_SIZE else ""))

@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
     DomainError,
     _check_truncation,
@@ -142,11 +141,13 @@ class CoefficientField:
         return _readonly(terms), _readonly(shell_of), _readonly(shells)
 
     @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(index, values) of the nonzero terms: the rows at `_shells[0]`, or both arrays when none is zero."""
-        if self.values.all():
-            return self.index, self.values
-        return _readonly(self.index[self._shells[0]]), _readonly(self.values[self._shells[0]])
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(index, values, reach) of the nonzero terms: the rows at `_shells[0]`, or both
+        arrays when none is zero, and each axis's largest n_j over them (0 without terms)."""
+        index, values = self.index, self.values
+        if not values.all():
+            index, values = _readonly(index[self._shells[0]]), _readonly(values[self._shells[0]])
+        return index, values, tuple(index.max(axis=0, initial=0).tolist())
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -193,43 +194,26 @@ def analyze(
     return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
 
 
-def _sweep_blocks(index: np.ndarray, pts: np.ndarray, width: int = 1):
+def _sweep_blocks(index: np.ndarray, reach: Sequence[int], pts: np.ndarray, width: int = 1):
     """The point blocks in which `synthesize` and `as_scalar_field(a).deriv`
     gather the terms with rows `index`: yields (first point, sweeps), where
-    sweeps[j] holds l_0..l_{max n_j} at x_j for the points of the block, as a
-    (max n_j + 1, points) view.
+    sweeps[j] holds l_0..l_{reach[j]} at x_j for the block's points.
 
-    The points go in blocks of about 2^20 / (largest n_j + 1), cut into gather
-    blocks whose `width` gathered arrays per axis hold at most about 2^16
-    values together (one point when there are more terms), so memory is
-    bounded whatever the number of points.  In a block, the axes with the same
-    max n_j = m share one sweep to degree m over their stacked coordinates,
-    as many axes as fit in the points of one gather block (so the sweep's
-    working arrays are no longer than with one axis at a gather block) and in
-    core.MAX_SWEEP_VALUES values; one axis always goes.  The recurrence runs
-    on each point alone, so every value is the one a sweep per axis gives.
-    An index without rows has no blocks.
+    A sweep block of about 2^20 / (max reach + 1) points makes one sweep per
+    axis; it is cut into gather blocks whose `width` gathered arrays per axis
+    hold at most about 2^16 values together (one point when there are more
+    terms), so memory is bounded whatever the number of points.  An index
+    without rows has no blocks.
     """
     if len(index) == 0:
         return
-    axes = {}  # m -> the axes j with max n_j = m
-    for j, m in enumerate(index.max(axis=0).tolist()):
-        axes.setdefault(m, []).append(j)
     inner = max(1, 2**16 // (width * len(index)))
-    outer = max(1, 2**20 // (max(axes) + 1))
+    outer = max(1, 2**20 // (max(reach) + 1))
     outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
     for start in range(0, pts.shape[0], outer):
         chunk = pts[start:start + outer].T
-        n = chunk.shape[1]
-        sweeps = [None] * index.shape[1]
-        for m, same in axes.items():
-            per = max(1, min(inner, core.MAX_SWEEP_VALUES // (m + 1)) // n)  # axes in one sweep
-            for k in range(0, len(same), per):
-                stack = same[k:k + per]
-                rows = laguerre_fn_sweep(m, chunk[stack].ravel())
-                for i, j in enumerate(stack):
-                    sweeps[j] = rows[:, i * n:(i + 1) * n]
-        for lo in range(0, n, inner):
+        sweeps = [laguerre_fn_sweep(m, x) for m, x in zip(reach, chunk)]
+        for lo in range(0, chunk.shape[1], inner):
             yield start + lo, [sweep[:, lo:lo + inner] for sweep in sweeps]
 
 
@@ -237,14 +221,13 @@ def synthesize(a: CoefficientField, points) -> np.ndarray:
     """Evaluate the truncated series sum_n a_n l_n at each of the (npts, d) points.
 
     Each nonzero term's factors l_{n_j}(x_j) are gathered by the columns of
-    its index (`_terms`, so a stored zero raises no sweep's degree) from the
-    rows `_sweep_blocks` gives each axis (in a block, one sweep for the axes
-    that share max n_j), multiplied over the axes and summed against `values`.
+    its index (`_terms`) from the sweeps of `_sweep_blocks`, multiplied over
+    the axes and summed against `values`.
     """
     pts = _validate_points(points, a.dim)
-    index, values = a._terms
+    index, values, reach = a._terms
     out = np.zeros(pts.shape[0])
-    for lo, sweeps in _sweep_blocks(index, pts):
+    for lo, sweeps in _sweep_blocks(index, reach, pts):
         terms = sweeps[0].take(index[:, 0], axis=0)  # (terms, points)
         for j in range(1, a.dim):
             terms *= sweeps[j].take(index[:, j], axis=0)
@@ -262,10 +245,10 @@ def as_scalar_field(a: CoefficientField) -> ScalarField:
     def deriv(points):
         # the factor of axis j is differentiated, the others multiply as values
         pts = _validate_points(points, a.dim)
-        index, values = a._terms
+        index, values, reach = a._terms
         value = np.zeros(pts.shape[0])
         first, second = np.zeros((2, a.dim, pts.shape[0]))
-        for lo, sweeps in _sweep_blocks(index, pts, width=3):
+        for lo, sweeps in _sweep_blocks(index, reach, pts, width=3):
             # l, l' and l'' of each axis, gathered for every term
             factors = [[r.take(index[:, j], axis=0) for r in _derivative_rows(sweep)]
                        for j, sweep in enumerate(sweeps)]

@@ -447,15 +447,15 @@ def field_reaching(rng, degs, terms, zeros):
 @given(degs=st.lists(st.sampled_from([0, 3, 7, 12]), min_size=1, max_size=4),
        terms=st.integers(0, 30), zeros=st.integers(0, 3), npts=st.integers(1, 40),
        far=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(degs=[6, 6], terms=5, zeros=0, npts=1, far=True, seed=1)  # a far and a near coordinate in one sweep
+@example(degs=[6, 6], terms=5, zeros=0, npts=1, far=True, seed=1)  # a far and a near axis at one point
 @example(degs=[5, 2, 5, 9], terms=12, zeros=2, npts=1, far=False, seed=2)  # partly equal, one point
 @example(degs=[1, 4, 7, 12], terms=20, zeros=1, npts=30, far=True, seed=3)  # all different
-@example(degs=[2000, 2000], terms=300, zeros=3, npts=534, far=False, seed=4)  # several blocks, the last stacked
+@example(degs=[2000, 2000], terms=300, zeros=3, npts=534, far=False, seed=4)  # several blocks, the last short
 @example(degs=[0, 7], terms=0, zeros=2, npts=3, far=False, seed=5)  # every record a stored zero
 @settings(max_examples=150, deadline=None)
 def test_stacked_sweeps_give_the_per_axis_values_bit_for_bit(degs, terms, zeros, npts, far, seed):
-    # the axes that share max n_j go through one sweep; every synthesized value
-    # and derivative is the one a sweep per axis gives, to the bit
+    # every synthesized value and derivative, swept in point blocks, is the one
+    # a sweep per axis over all the points gives, to the bit
     rng = np.random.default_rng(seed)
     a = field_reaching(rng, degs, terms, zeros)
     pts = rng.uniform(0.0, 60.0, size=(npts, a.dim))
@@ -481,17 +481,17 @@ def sweep_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("case,npts,want", [
-    ("d2-total", 1, [(10, 2)]),
+    ("d2-total", 1, [(10, 1), (10, 1)]),
     ("box-2000-3", 1, [(2000, 1), (3, 1)]),
-    ("d2-total", 400, [(10, 800)]),
+    ("d2-total", 400, [(10, 400)] * 2),
     ("d2-total", 3000, [(10, 3000)] * 2),
     ("box-2000-3", 600, [(2000, 524), (3, 524), (2000, 76), (3, 76)]),
     ("empty", 5, []),
 ])
 def test_one_sweep_per_block_and_distinct_axis_degree(monkeypatch, case, npts, want):
-    # a block makes one sweep per distinct max n_j while the stacked axes fit
-    # in a gather block (992 points for the 66 terms of "d2-total"); the swept
-    # values, sum of (m + 1) x coordinates, are those of one sweep per axis
+    # a block makes one sweep per axis, to the axis's reach (524 points a block
+    # at reach 2000); the swept values, sum of (m + 1) x coordinates, are those
+    # of one sweep per axis over all the points
     a = {"d2-total": random_coefficients(np.random.default_rng(7), 2, 10),
          "box-2000-3": CoefficientField(2, "box", 2000, {(2000, 0): 1.5, (0, 3): -0.7}),
          "empty": CoefficientField(2, "total", 4, {})}[case]
@@ -504,19 +504,37 @@ def test_one_sweep_per_block_and_distinct_axis_degree(monkeypatch, case, npts, w
 
 
 def test_stacked_sweeps_stay_under_the_sweep_cap(monkeypatch):
-    # at a cap of 16 values, one point on six axes of degree 3 (4 values each)
-    # takes stacks of 4 and 2 axes, where one stack of 24 values would raise
-    monkeypatch.setattr(core, "MAX_SWEEP_VALUES", 16)
+    # a sweep that one axis alone pushes past the cap (4 values at degree 3) raises
     rng = np.random.default_rng(9)
     a = random_coefficients(rng, 6, 3)
     pts = rng.uniform(0.0, 10.0, size=(1, 6))
-    calls = sweep_calls(monkeypatch)
-    assert np.array_equal(synthesize(a, pts), unblocked_synthesize(a, pts))
-    assert calls == [(3, 4), (3, 2)]
-    # a sweep that one axis alone overflows still raises
     monkeypatch.setattr(core, "MAX_SWEEP_VALUES", 3)
     with pytest.raises(DomainError, match="above the cap"):
         synthesize(a, pts)
+
+
+@pytest.mark.parametrize("case,reach", [
+    ("zero-above", (3, 7)),
+    ("all-zero", (0, 0)),
+    ("empty", (0, 0)),
+    ("box-2000-3", (2000, 3)),
+])
+def test_terms_reach_is_the_per_axis_max_over_the_nonzero_records(monkeypatch, case, reach):
+    # a stored zero, even above every term, raises no axis's reach; without terms
+    # the reach is 0 on every axis and synthesis sweeps nothing
+    a = {"zero-above": CoefficientField(2, "box", 50, {(3, 1): 1.0, (0, 7): -0.5, (50, 50): 0.0}),
+         "all-zero": CoefficientField(2, "total", 6, {(2, 4): 0.0, (5, 0): 0.0}),
+         "empty": CoefficientField(2, "total", 6, {}),
+         "box-2000-3": CoefficientField(2, "box", 2000, {(2000, 0): 1.5, (0, 3): -0.7})}[case]
+    nonzero = [n for n, v in a.entries.items() if v]
+    assert reach == tuple(max((n[j] for n in nonzero), default=0) for j in range(2))
+    assert a._terms[2] == reach and all(type(m) is int for m in a._terms[2])
+    pts = np.random.default_rng(10).uniform(0.0, 30.0, size=(5, 2))
+    calls = sweep_calls(monkeypatch)
+    got = synthesize(a, pts)
+    assert calls == ([(m, 5) for m in reach] if nonzero else [])
+    if not nonzero:
+        assert np.array_equal(got, np.zeros(5))
 
 
 class TestSynthesize:

@@ -153,7 +153,8 @@ def cmd_synthesize(args) -> int:
         raise DomainError(f"non-finite series value {float(vals[bad[0]])!r}"
                           f" at point {tuple(pts[bad[0]].tolist())}")
     lines = [",".join(f"x{j + 1}" for j in range(a.dim)) + ",value"]
-    lines += [",".join(map(repr, row + [v])) for row, v in zip(pts.tolist(), vals.tolist())]
+    columns = [map(repr, column) for column in [*pts.T.tolist(), vals.tolist()]]
+    lines += map(",".join, zip(*columns))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,6 +149,62 @@ class CoefficientField:
             index, values = _readonly(index[self._shells[0]]), _readonly(values[self._shells[0]])
         return index, values, tuple(index.max(axis=0, initial=0).tolist())
 
+    @cached_property
+    def _prefix_table(self) -> "_PrefixTable":
+        """The nonzero terms grouped by their prefix (n_1..n_{d-1}), in lex order of the
+        prefixes (d = 1 has one, empty, prefix), with the dense table C of shape
+        prefixes x (reach_d + 1) where it holds at most DENSE_TABLE_FACTOR values per term;
+        its size is checked before it is allocated, so a sparse field never builds it."""
+        index, values, reach = self._terms
+        head = index[:, :-1]
+        order = np.lexsort(head.T[::-1]) if self.dim > 1 else np.arange(values.size)
+        head, last, values = head[order], index[order, -1], values[order]
+        new = np.ones(values.size, dtype=bool)
+        new[1:] = (head[1:] != head[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        dense = None
+        if starts.size * (reach[-1] + 1) <= DENSE_TABLE_FACTOR * values.size:
+            dense = np.zeros((starts.size, reach[-1] + 1))
+            dense[np.cumsum(new) - 1, last] = values
+        return _PrefixTable(*(None if v is None else _readonly(v) for v in (head[starts], dense, last, values, starts)))
+
+
+# a prefix table with more than this many values per term (256 bytes) is not built: the last
+# axis is then summed per prefix from its gathered rows.  Up to this ratio the dense product was
+# 1.0-4.6x as fast as the per-prefix sums in every case measured (d = 2, 16-200 prefixes, reach
+# 60-2000, 4000 points; NumPy 2.4 with OpenBLAS, 2-core VM), and about as fast up to 250
+DENSE_TABLE_FACTOR = 32
+
+
+class _PrefixTable(NamedTuple):
+    """The nonzero terms of a field as prefixes (n_1..n_{d-1}) times last-axis rows.
+
+    `prefix` (P, d-1) holds the distinct prefixes; `last` and `values` hold each term's
+    n_d and a_n grouped by prefix, the group of prefix p starting at `starts[p]`; `dense`
+    is the table C[p, m] = a at (prefix p, n_d = m), or None for a sparse field.
+    """
+
+    prefix: np.ndarray
+    dense: np.ndarray | None
+    last: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def row_count(self) -> int:
+        """Rows of the last-axis product per point: T's, or on the sparse branch the gathered rows."""
+        return len(self.starts) if self.dense is not None else len(self.last)
+
+    def product(self, sweep: np.ndarray) -> np.ndarray:
+        """T[p] = sum over the terms of prefix p of a_n sweep[n_d]: the last axis contracted,
+        (P, points) from the last axis's rows l_0..l_{reach_d} (or their derivatives)."""
+        if self.dense is not None:
+            return self.dense @ sweep
+        gathered = sweep.take(self.last, axis=0)
+        gathered *= self.values[:, None]
+        # where every prefix has one term, the gathered rows are T
+        return gathered if len(self.starts) == len(self.last) else np.add.reduceat(gathered, self.starts, axis=0)
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -194,72 +250,83 @@ def analyze(
     return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
 
 
-def _sweep_blocks(index: np.ndarray, reach: Sequence[int], pts: np.ndarray, width: int = 1):
-    """The point blocks in which `synthesize` and `as_scalar_field(a).deriv`
-    gather the terms with rows `index`: yields (first point, sweeps), where
-    sweeps[j] holds l_0..l_{reach[j]} at x_j for the block's points.
+def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
+    """The one synthesis kernel: rows [value] of the series at each of the (npts, d)
+    points, or with `deriv` [value, d/dx_1, d2/dx_1^2, ..., d/dx_d, d2/dx_d^2].
 
-    A sweep block of about 2^20 / (max reach + 1) points makes one sweep per
-    axis; it is cut into gather blocks whose `width` gathered arrays per axis
-    hold at most about 2^16 values together (one point when there are more
-    terms), so memory is bounded whatever the number of points.  An index
-    without rows has no blocks.
+    By sum factorization over `_prefix_table`: per block of points, one sweep
+    per axis to its reach; the last axis is contracted as T = C @ S_d (the
+    prefix table's `product`), then each prefix row of T is multiplied by the
+    other axes' factors l_{n_j}(x_j) and the rows are summed.  A block holds at
+    most 2^20 / (largest reach + 1) points, so each sweep holds at most 2^20
+    values, and at most 2^18 values of the last-axis product (a third of that
+    with the derivative rows), so memory does not grow with the points.
     """
-    if len(index) == 0:
-        return
-    inner = max(1, 2**16 // (width * len(index)))
-    outer = max(1, 2**20 // (max(reach) + 1))
-    outer = outer // inner * inner or outer  # whole gather blocks where it can, as without sweep blocks
-    for start in range(0, pts.shape[0], outer):
-        chunk = pts[start:start + outer].T
-        sweeps = [laguerre_fn_sweep(m, x) for m, x in zip(reach, chunk)]
-        for lo in range(0, chunk.shape[1], inner):
-            yield start + lo, [sweep[:, lo:lo + inner] for sweep in sweeps]
+    pts = _validate_points(points, a.dim)
+    reach, table = a._terms[2], a._prefix_table
+    out = np.zeros((1 + 2 * a.dim if deriv else 1, pts.shape[0]))
+    if table.values.size == 0:
+        return out
+    size = max(1, min(2**20 // (max(reach) + 1), 2**18 // ((3 if deriv else 1) * table.row_count)))
+    for lo in range(0, pts.shape[0], size):
+        cols = slice(lo, lo + size)
+        # each block's arrays are freed before the next block's sweeps
+        out[:, cols] = _block(table, [laguerre_fn_sweep(m, x) for m, x in zip(reach, pts[cols].T)], deriv)
+    return out
+
+
+def _block(table: "_PrefixTable", sweeps: list[np.ndarray], deriv: bool):
+    """The rows of `_series` at one block of points, from each axis's sweep over it."""
+    last_sweep = sweeps.pop()
+    if not deriv:
+        # the prefix factors multiply in axis order first, so a one-term field is
+        # l_{n_1}(x_1) ... l_{n_d}(x_d) to the bit; the prefix sweeps are released
+        # before T is formed, so at most two (P, points) arrays are live at once
+        factor = 1.0
+        if sweeps:
+            factor = sweeps[0].take(table.prefix[:, 0], axis=0)
+            for j in range(1, len(sweeps)):
+                factor *= sweeps[j].take(table.prefix[:, j], axis=0)
+            sweeps.clear()
+        t = table.product(last_sweep)
+        t *= factor
+        return t.sum(axis=0)
+    # the factor of one axis is differentiated, the others multiply as values
+    last = [table.product(r) for r in _derivative_rows(last_sweep)]  # T, T' and T''
+    factors = [[r.take(table.prefix[:, j], axis=0) for r in _derivative_rows(sweep)] for j, sweep in enumerate(sweeps)]
+    vals = [f[0] for f in factors]
+    others = math.prod(vals)
+    value, *last_axis = [(t * others).sum(axis=0) for t in last]
+    rows = [value]
+    for j, (_, d1, d2) in enumerate(factors):
+        rest = last[0] * math.prod(vals[:j] + vals[j + 1:])
+        rows += [(rest * d1).sum(axis=0), (rest * d2).sum(axis=0)]
+    return rows + last_axis
 
 
 def synthesize(a: CoefficientField, points) -> np.ndarray:
     """Evaluate the truncated series sum_n a_n l_n at each of the (npts, d) points.
 
-    Each nonzero term's factors l_{n_j}(x_j) are gathered by the columns of
-    its index (`_terms`) from the sweeps of `_sweep_blocks`, multiplied over
-    the axes and summed against `values`.
+    Sum factorization, as in `analyze` (see `_series`): per block of points the
+    last axis is contracted against the field's prefix table (`_prefix_table`),
+    by one dense product or, for a sparse field, by per-prefix sums, and the
+    other axes multiply in once per distinct prefix (n_1..n_{d-1}) of the
+    nonzero terms, not once per term.
     """
-    pts = _validate_points(points, a.dim)
-    index, values, reach = a._terms
-    out = np.zeros(pts.shape[0])
-    for lo, sweeps in _sweep_blocks(index, reach, pts):
-        terms = sweeps[0].take(index[:, 0], axis=0)  # (terms, points)
-        for j in range(1, a.dim):
-            terms *= sweeps[j].take(index[:, j], axis=0)
-        out[lo:lo + terms.shape[1]] = values @ terms
-    return out
+    return _series(a, points)[0]
 
 
 def as_scalar_field(a: CoefficientField) -> ScalarField:
     """Wrap a coefficient field as an evaluable function with exact
-    per-axis first and second derivatives (differentiated termwise)."""
+    per-axis first and second derivatives (differentiated termwise).  Both
+    run the kernel of `synthesize` on the same prefix table."""
 
     def evaluator(x):
         return float(synthesize(a, np.asarray(x, dtype=float)[None, :])[0])
 
     def deriv(points):
-        # the factor of axis j is differentiated, the others multiply as values
-        pts = _validate_points(points, a.dim)
-        index, values, reach = a._terms
-        value = np.zeros(pts.shape[0])
-        first, second = np.zeros((2, a.dim, pts.shape[0]))
-        for lo, sweeps in _sweep_blocks(index, reach, pts, width=3):
-            # l, l' and l'' of each axis, gathered for every term
-            factors = [[r.take(index[:, j], axis=0) for r in _derivative_rows(sweep)]
-                       for j, sweep in enumerate(sweeps)]
-            rows = slice(lo, lo + sweeps[0].shape[1])
-            vals = [v for v, _, _ in factors]
-            value[rows] = values @ math.prod(vals)
-            for j, (_, d1, d2) in enumerate(factors):
-                rest = math.prod(vals[:j] + vals[j + 1:])
-                first[j, rows] = values @ (rest * d1)
-                second[j, rows] = values @ (rest * d2)
-        return [(value, first[j], second[j]) for j in range(a.dim)]
+        value, *rest = _series(a, points, deriv=True)
+        return [(value, first, second) for first, second in zip(rest[::2], rest[1::2])]
 
     return ScalarField(dim=a.dim, evaluator=evaluator, deriv=deriv)
 

@@ -62,13 +62,16 @@ def separable_poly_exp_field(axis_coeffs, rates) -> ScalarField:
             tables[key] = (*(p[::-1].tolist() for p in polys), -s)
         axes.append(tables[key])
 
+    # the evaluator reads each axis's value polynomial and -s_j alone
+    pairs, exp = [(coeffs, neg_s) for coeffs, _, _, neg_s in axes], math.exp
+
     def evaluator(x):
         val = 1.0
-        for xj, (coeffs, _, _, neg_s) in zip(x.tolist(), axes):
+        for xj, (coeffs, neg_s) in zip(x.tolist(), pairs):
             p = 0.0
             for c in coeffs:
                 p = c + p * xj
-            val *= p * math.exp(neg_s * xj)
+            val *= p * exp(neg_s * xj)
         return val
 
     def deriv(points):

@@ -22,16 +22,39 @@ from .core import DomainError, _check_count, laguerre_fn_log_christoffel
 MAX_RULE_SIZE = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for integration against e^{-x} on (0, inf).
 
     `log_modified_weights` stores log(w_k) + x_k, the stable representation of
-    the weights used for integrands without the e^{-x} factor.
+    the weights used for integrands without the e^{-x} factor.  Both are kept
+    as read-only copies, checked on construction: 1-D, of one length >= 1,
+    finite, and nodes >= 0.  Two rules are equal when their arrays are.
     """
 
     nodes: np.ndarray
     log_modified_weights: np.ndarray
+
+    def __post_init__(self):
+        nodes, logw = (np.array(v, dtype=float) for v in (self.nodes, self.log_modified_weights))
+        if nodes.ndim != 1 or nodes.shape != logw.shape or not nodes.size:
+            raise DomainError(f"a quadrature rule needs 1-D nodes and log weights of one length >= 1,"
+                              f" got shapes {nodes.shape} and {logw.shape}")
+        if not (np.isfinite(nodes).all() and np.isfinite(logw).all()):
+            raise DomainError("quadrature nodes and log weights must be finite")
+        if nodes.min() < 0:
+            raise DomainError(f"quadrature nodes must be >= 0, got {float(nodes.min())!r}")
+        for name, arr in (("nodes", nodes), ("log_modified_weights", logw)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadratureRule):
+            return NotImplemented
+        return (np.array_equal(self.nodes, other.nodes)
+                and np.array_equal(self.log_modified_weights, other.log_modified_weights))
+
+    __hash__ = None
 
     @property
     def size(self) -> int:
@@ -72,10 +95,7 @@ def _rule(K: int) -> QuadratureRule:
     # and a K x K array (2 MiB at MAX_RULE_SIZE), which the cache pays once
     jacobi = np.diag(2.0 * np.arange(K) + 1.0) + np.diag(np.arange(1.0, K), -1)
     nodes = np.linalg.eigvalsh(jacobi)
-    log_modified_weights = -laguerre_fn_log_christoffel(K, nodes)
-    nodes.setflags(write=False)
-    log_modified_weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, log_modified_weights=log_modified_weights)
+    return QuadratureRule(nodes=nodes, log_modified_weights=-laguerre_fn_log_christoffel(K, nodes))
 
 
 def default_rule_size(degree: int) -> int:
@@ -98,27 +118,32 @@ def _node_grid_values(evaluator: Callable, nodes: np.ndarray, d: int) -> np.ndar
     """The evaluator at every node of the d-fold tensor grid, as a (K,)*d array.
 
     One call per node, in lexicographic node order.  Each call gets a
-    read-only row view of one (K^(d-1), d) block of nodes, built once per
-    node of the first axis.  A non-finite value raises DomainError naming its
-    node, the only report (NumPy's overflow and invalid-value warnings are
-    off while the evaluator runs).  A grid past `_check_grid_size` is its
-    DomainError, raised before any work.
+    read-only row view of one block of nodes: in 1-D one (K, 1) block of all
+    K nodes, else one (K^(d-1), d) block per node of the first axis.  A
+    block's values are collected in a list and stored at once.  A non-finite
+    value raises DomainError naming its node, the only report (NumPy's
+    overflow and invalid-value warnings are off while the evaluator runs).  A
+    grid past `_check_grid_size` is its DomainError, raised before any work.
     """
     K = nodes.size
     _check_grid_size(K, d)
-    tail = np.array(list(product(nodes.tolist(), repeat=d - 1)), dtype=float)  # (K^(d-1), d-1)
-    values = np.empty((K, tail.shape[0]))
+    lead = min(d - 1, 1)  # the axes fixed within a block: none in 1-D, else the first
+    tail = np.array(list(product(nodes.tolist(), repeat=d - lead)), dtype=float)  # (K^(d-lead), d-lead)
+    values = np.empty((K**lead, tail.shape[0]))
+    isfinite = math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
-        for x0, out in zip(nodes.tolist(), values):
+        for head, out in zip(product(nodes.tolist(), repeat=lead), values):
             block = np.empty((tail.shape[0], d))
-            block[:, 0] = x0
-            block[:, 1:] = tail
+            block[:, :lead] = head
+            block[:, lead:] = tail
             block.flags.writeable = False
-            for i, x in enumerate(block):
+            vals = []
+            for x in block:
                 val = float(evaluator(x))
-                if not math.isfinite(val):
+                if not isfinite(val):
                     raise DomainError(f"non-finite integrand value {val!r} at node {tuple(x.tolist())}")
-                out[i] = val
+                vals.append(val)
+            out[:] = vals
     return values.reshape((K,) * d)
 
 

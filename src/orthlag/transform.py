@@ -61,6 +61,15 @@ class CoefficientField:
         out._load(dim, truncation_kind, degree, index, values)
         return out
 
+    @classmethod
+    def _from_sorted(cls, dim: int, truncation_kind: str, degree: int, index, values, orders) -> "CoefficientField":
+        """The field with rows `index` already in the truncation set, in graded-lex
+        order and distinct, their `values` and `orders`; only the values are checked."""
+        out = object.__new__(cls)
+        out.dim, out.truncation_kind, out.degree = dim, truncation_kind, degree
+        out._set(index, values, orders)
+        return out
+
     def _load(self, dim, truncation_kind, degree, index, values) -> None:
         """The one validation path, on whole arrays; a bad row raises the error
         the first failing row would get from `validate_multi_index` and the
@@ -195,15 +204,17 @@ class _PrefixTable(NamedTuple):
         """Rows of the last-axis product per point: T's, or on the sparse branch the gathered rows."""
         return len(self.starts) if self.dense is not None else len(self.last)
 
-    def product(self, sweep: np.ndarray) -> np.ndarray:
+    def product(self, sweep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """T[p] = sum over the terms of prefix p of a_n sweep[n_d]: the last axis contracted,
-        (P, points) from the last axis's rows l_0..l_{reach_d} (or their derivatives)."""
+        (P, points) from the last axis's rows l_0..l_{reach_d} (or their derivatives), into
+        `out` when given."""
         if self.dense is not None:
-            return self.dense @ sweep
-        gathered = sweep.take(self.last, axis=0)
-        gathered *= self.values[:, None]
+            return np.matmul(self.dense, sweep, out=out)
         # where every prefix has one term, the gathered rows are T
-        return gathered if len(self.starts) == len(self.last) else np.add.reduceat(gathered, self.starts, axis=0)
+        one = len(self.starts) == len(self.last)
+        gathered = sweep.take(self.last, axis=0, out=out if one else None, mode="clip")
+        gathered *= self.values[:, None]
+        return gathered if one else np.add.reduceat(gathered, self.starts, axis=0, out=out)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -247,7 +258,8 @@ def analyze(
         # contract the leading node axis; its degree axis goes last, so after
         # d steps the axes are back in order
         A = np.tensordot(A, VW, axes=(0, 1))
-    return CoefficientField._from_arrays(d, kind, degree, index, A[tuple(index.T)])
+    # truncation_index's rows are valid, graded-lex and distinct: no sort or duplicate scan
+    return CoefficientField._from_sorted(d, kind, degree, index, A[tuple(index.T)], index.sum(axis=1))
 
 
 def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
@@ -260,7 +272,9 @@ def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
     other axes' factors l_{n_j}(x_j) and the rows are summed.  A block holds at
     most 2^20 / (largest reach + 1) points, so each sweep holds at most 2^20
     values, and at most 2^18 values of the last-axis product (a third of that
-    with the derivative rows), so memory does not grow with the points.
+    with the derivative rows), so memory does not grow with the points.  The
+    value path allocates T and the prefix factors in its first block and fills
+    them in place in the later ones, so their fresh pages fault in once a call.
     """
     pts = _validate_points(points, a.dim)
     reach, table = a._terms[2], a._prefix_table
@@ -268,29 +282,40 @@ def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
     if table.values.size == 0:
         return out
     size = max(1, min(2**20 // (max(reach) + 1), 2**18 // ((3 if deriv else 1) * table.row_count)))
+    t = factor = None  # the value path's T and prefix factors, from its first block on
     for lo in range(0, pts.shape[0], size):
-        cols = slice(lo, lo + size)
-        # each block's arrays are freed before the next block's sweeps
-        out[:, cols] = _block(table, [laguerre_fn_sweep(m, x) for m, x in zip(reach, pts[cols].T)], deriv)
+        coords = pts[lo:lo + size].T
+        if deriv:
+            # each block's sweeps are freed before the next block's
+            out[:, lo:lo + size] = _deriv_block(table, [laguerre_fn_sweep(m, x) for m, x in zip(reach, coords)])
+            continue
+        if t is not None and (n := coords.shape[1]) < t.shape[1]:
+            # the last, smaller block fills the leading part of each, a contiguous array
+            t, factor = (w if w is None else w.ravel()[:w.shape[0] * n].reshape(-1, n) for w in (t, factor))
+        t, factor = _value_block(table, reach, coords, t, factor, out[0, lo:lo + size])
     return out
 
 
-def _block(table: "_PrefixTable", sweeps: list[np.ndarray], deriv: bool):
-    """The rows of `_series` at one block of points, from each axis's sweep over it."""
-    last_sweep = sweeps.pop()
-    if not deriv:
-        # the prefix factors multiply in axis order first, so a one-term field is
-        # l_{n_1}(x_1) ... l_{n_d}(x_d) to the bit; the prefix sweeps are released
-        # before T is formed, so at most two (P, points) arrays are live at once
-        factor = 1.0
-        if sweeps:
-            factor = sweeps[0].take(table.prefix[:, 0], axis=0)
-            for j in range(1, len(sweeps)):
-                factor *= sweeps[j].take(table.prefix[:, j], axis=0)
-            sweeps.clear()
-        t = table.product(last_sweep)
+def _value_block(table: "_PrefixTable", reach: tuple[int, ...], coords: np.ndarray, t, factor,
+                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The series at the columns of `coords` (d, points) into `out`, filling T and the
+    prefix factors (P, points) in place when given, else allocating them; both are
+    returned for the next block.  One sweep is live at a time, and the prefix factors
+    multiply in axis order, so a one-term field is l_{n_1}(x_1) ... l_{n_d}(x_d) to the bit."""
+    if len(coords) > 1:
+        factor = laguerre_fn_sweep(reach[0], coords[0]).take(table.prefix[:, 0], axis=0, out=factor, mode="clip")
+        for j in range(1, len(coords) - 1):
+            factor *= laguerre_fn_sweep(reach[j], coords[j]).take(table.prefix[:, j], axis=0, out=t, mode="clip")
+    t = table.product(laguerre_fn_sweep(reach[-1], coords[-1]), out=t)
+    if factor is not None:
         t *= factor
-        return t.sum(axis=0)
+    t.sum(axis=0, out=out)
+    return t, factor
+
+
+def _deriv_block(table: "_PrefixTable", sweeps: list[np.ndarray]) -> list[np.ndarray]:
+    """The rows of `_series` with `deriv` at one block of points, from each axis's sweep over it."""
+    last_sweep = sweeps.pop()
     # the factor of one axis is differentiated, the others multiply as values
     last = [table.product(r) for r in _derivative_rows(last_sweep)]  # T, T' and T''
     factors = [[r.take(table.prefix[:, j], axis=0) for r in _derivative_rows(sweep)] for j, sweep in enumerate(sweeps)]

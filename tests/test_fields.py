@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.laguerre import lag2poly
 
@@ -167,3 +168,56 @@ def test_non_finite_coefficients_and_rates_are_one_domain_error(axis_coeffs, rat
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             separable_poly_exp_field(axis_coeffs, rates)
+
+
+def table_evaluator(axis_coeffs, rates):
+    """The evaluator of `separable_poly_exp_field` before it read (coefficients, -s_j)
+    pairs, kept as the reference: every call unpacks each axis's whole table, the
+    value and derivative polynomials highest power first and -s_j, and looks up
+    math.exp."""
+    axes = []
+    for c, s in zip(axis_coeffs, rates):
+        polys = [np.asarray(c, dtype=float)]
+        for _ in range(2):
+            polys.append(npoly.polysub(npoly.polyder(polys[-1]), float(s) * polys[-1]))
+        axes.append((*(p[::-1].tolist() for p in polys), -float(s)))
+
+    def evaluator(x):
+        val = 1.0
+        for xj, (coeffs, _, _, neg_s) in zip(x.tolist(), axes):
+            p = 0.0
+            for c in coeffs:
+                p = c + p * xj
+            val *= p * math.exp(neg_s * xj)
+        return val
+
+    return evaluator
+
+
+@st.composite
+def builtin_fields(draw):
+    """(field, per-axis ascending coefficients, rates, points): exp-decay, l:<n> with
+    n_j <= 23, or a poly-exp field with random coefficients and rates, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["exp-decay", "l", "poly-exp"]))
+    if kind == "exp-decay":
+        f, coeffs, rates = field_by_name("exp-decay", d), [[1.0]] * d, [1.0] * d
+    elif kind == "l":
+        n = draw(st.lists(st.integers(0, 23), min_size=d, max_size=d))
+        f = field_by_name("l:" + ",".join(map(str, n)))
+        coeffs, rates = [lag2poly(np.eye(nj + 1)[nj]) for nj in n], [0.5] * d
+    else:
+        coeffs = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), min_size=d, max_size=d))
+        rates = draw(st.lists(st.floats(1e-3, 20.0), min_size=d, max_size=d))
+        f = separable_poly_exp_field(coeffs, rates)
+    pts = draw(st.lists(st.lists(st.floats(0.0, 1400.0), min_size=d, max_size=d), min_size=1, max_size=20))
+    return f, coeffs, rates, np.array(pts)
+
+
+@given(case=builtin_fields())
+@settings(max_examples=300, deadline=None)
+def test_builtin_evaluator_is_bit_identical_to_the_table_evaluator(case):
+    f, coeffs, rates, pts = case
+    want = table_evaluator(coeffs, rates)
+    for x in pts:
+        assert np.float64(f.evaluator(x)).tobytes() == np.float64(want(x)).tobytes()

@@ -6,14 +6,17 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from orthlag.core import DomainError, laguerre_fn_sweep
+from orthlag.fields import exp_decay_field
 from orthlag.quadrature import (
     MAX_RULE_SIZE,
+    QuadratureRule,
     _node_grid_values,
     _rule,
     default_rule_size,
     gauss_laguerre_rule,
     integrate_orthant,
 )
+from orthlag.transform import analyze
 
 
 class TestRuleConstruction:
@@ -251,6 +254,92 @@ class TestNodeGrid:
             _node_grid_values(blow_up, self.NODES, 2)
         assert str(err.value) == f"non-finite integrand value inf at node {first}"
         assert len(calls) == list(product(self.NODES.tolist(), repeat=2)).index(first) + 1
+
+
+    def test_a_1d_evaluator_that_writes_into_its_argument_raises(self):
+        def write(x):
+            x[0] = 0.0
+            return 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            _node_grid_values(write, self.NODES, 1)
+
+    def test_a_refused_write_does_not_corrupt_later_nodes_in_1d(self):
+        seen = []
+
+        def try_to_write(x):
+            with pytest.raises(ValueError, match="read-only"):
+                x *= 2.0
+            seen.append(tuple(x.tolist()))
+            return 1.0
+
+        _node_grid_values(try_to_write, self.NODES, 1)
+        assert seen == [(x,) for x in self.NODES.tolist()]
+
+    def test_the_first_non_finite_node_of_a_1d_grid_is_named_as_a_tuple_of_floats(self):
+        calls = []
+
+        def blow_up(x):
+            calls.append(x)
+            return math.inf if x[0] > 1.0 else 1.0
+
+        first = next(x for x in self.NODES.tolist() if x > 1.0)
+        with pytest.raises(DomainError) as err:
+            _node_grid_values(blow_up, self.NODES, 1)
+        assert str(err.value) == f"non-finite integrand value inf at node {(first,)}"
+        assert len(calls) == self.NODES.tolist().index(first) + 1
+
+    @pytest.mark.parametrize("d,blocks", [(1, 1), (2, 5), (3, 5)])
+    def test_rows_are_views_of_one_block_per_node_of_the_first_axis_past_1d(self, d, blocks):
+        # in 1-D all K nodes are rows of one (K, 1) block; else one (K^(d-1), d) block per x_1
+        rows = []
+        _node_grid_values(lambda x: rows.append(x) or 1.0, self.NODES, d)
+        bases = {id(x.base): x.base for x in rows}
+        assert len(bases) == blocks
+        assert all(b.shape == (5 ** d // blocks, d) and not b.flags.writeable for b in bases.values())
+
+
+class TestRuleValidation:
+    """A rule is checked on construction and compared by its arrays."""
+
+    def test_distinct_rules_compare_unequal_without_raising(self):
+        assert (gauss_laguerre_rule(3) == gauss_laguerre_rule(4)) is False
+        assert gauss_laguerre_rule(3) != gauss_laguerre_rule(4)
+        assert gauss_laguerre_rule(3) != "a rule"
+
+    def test_a_rule_equals_a_rule_built_from_copies_of_its_arrays(self):
+        rule = gauss_laguerre_rule(6)
+        assert QuadratureRule(rule.nodes.copy(), rule.log_modified_weights.copy()) == rule
+
+    def test_rules_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(gauss_laguerre_rule(3))
+
+    def test_a_hand_built_rule_keeps_read_only_copies(self):
+        nodes, logw = np.array([0.5, 2.0]), np.array([-0.1, 0.3])
+        rule = QuadratureRule(nodes, logw)
+        nodes[0] = logw[0] = 9.0
+        assert rule.nodes.tolist() == [0.5, 2.0] and rule.log_modified_weights.tolist() == [-0.1, 0.3]
+        assert not rule.nodes.flags.writeable and not rule.log_modified_weights.flags.writeable
+
+    @pytest.mark.parametrize("nodes,logw,message", [
+        ([1.0, 2.0], [0.0], "one length >= 1"),
+        ([], [], "one length >= 1"),
+        ([[1.0, 2.0]], [[0.0, 0.0]], "1-D"),
+        (1.0, 0.0, "1-D"),
+        ([1.0, math.nan], [0.0, 0.0], "finite"),
+        ([1.0, 2.0], [0.0, -math.inf], "finite"),
+        ([-1e-300, 2.0], [0.0, 0.0], ">= 0"),
+    ], ids=["length-mismatch", "empty", "two-dim", "scalar", "nan-node", "inf-weight", "negative-node"])
+    def test_a_malformed_rule_is_a_one_line_domain_error(self, nodes, logw, message):
+        with pytest.raises(DomainError, match=message) as err:
+            QuadratureRule(np.array(nodes), np.array(logw))
+        assert "\n" not in str(err.value)
+
+    def test_a_mismatched_rule_never_reaches_analyze(self):
+        # nodes [1, 2] with one log weight once broadcast into a silently wrong 2-term field
+        with pytest.raises(DomainError, match="one length"):
+            analyze(exp_decay_field(1), 1, QuadratureRule(np.array([1.0, 2.0]), np.array([0.0])))
 
 
 def test_default_rule_size_margin():

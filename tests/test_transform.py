@@ -124,6 +124,28 @@ class TestAnalyze:
             assert large.get(n) == pytest.approx(small.get(n), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["total", "box"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_analyze_builds_the_container_the_validation_path_builds(d, kind):
+    # analyze stores truncation_index's rows as they come: the validation path,
+    # given the same rows shuffled, sorts them back to the same bits
+    f = ScalarField(d, lambda x: math.exp(-0.7 * x.sum()) * (1.0 + math.cos(x[0])))
+    rng = np.random.default_rng(d)
+    for degree in range(9):
+        a = analyze(f, degree, gauss_laguerre_rule(degree + 1), kind)
+        perm = rng.permutation(a.values.size)
+        b = CoefficientField._from_arrays(d, kind, degree, a.index[perm], a.values[perm])
+        for got, want in ((a.index, b.index), (a.values, b.values), (a.orders, b.orders)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert (a.dim, a.truncation_kind, a.degree) == (b.dim, b.truncation_kind, b.degree)
+
+
+def test_the_sorted_path_still_checks_that_every_value_is_finite():
+    with pytest.raises(DomainError, match=r"coefficient at index \(1,\) is not finite: inf"):
+        CoefficientField._from_sorted(1, "total", 1, np.array([[0], [1]]), np.array([1.0, math.inf]), np.array([0, 1]))
+
+
 def reference_analyze(f, degree, rule, kind="total"):
     """The former d >= 3 transform, kept as the reference: stream the node
     grid and add w(x) f(x) l_n(x) for every n with math.fsum."""
@@ -590,6 +612,30 @@ def test_terms_reach_is_the_per_axis_max_over_the_nonzero_records(monkeypatch, c
     assert calls == ([(m, 5) for m in reach] if nonzero else [])
     if not nonzero:
         assert np.array_equal(got, np.zeros(5))
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse-one", "sparse-many"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocks_that_reuse_the_first_blocks_arrays_give_each_blocks_own_bits(d, branch):
+    # reach 1023 makes blocks of 2^20 / 1024 = 1024 points, so 2500 points run as
+    # 1024 + 1024 + 452, the later blocks in the first one's T and prefix factors;
+    # each block alone, a one-block call, must give the same bits
+    rng = np.random.default_rng(12)
+    if branch == "dense":  # 40 last-axis terms, 1023 among them, per prefix in {0, 1}^(d-1)
+        rows = [p + (m,) for p in product(range(2), repeat=d - 1)
+                for m in [1023, *rng.choice(1023, 39, replace=False).tolist()]]
+    else:  # per prefix (k, .., k) the term n_d = 1023 - k, and for many also n_d = k
+        ks = range(1 if d == 1 else 100)
+        rows = [(k,) * (d - 1) + (1023 - k,) for k in ks]
+        rows += [(k,) * (d - 1) + (k,) for k in ks] if branch == "sparse-many" else []
+    a = CoefficientField(d, "box", 1023, {n: float(v) for n, v in zip(rows, rng.uniform(-1, 1, len(rows)))})
+    table = a._prefix_table
+    assert (table.dense is not None) == (branch == "dense")
+    assert branch == "dense" or (len(table.starts) == len(table.last)) == (branch == "sparse-one")
+    pts = rng.uniform(0.0, 40.0, size=(2500, d))
+    got = synthesize(a, pts)
+    want = np.concatenate([synthesize(a, pts[lo:lo + 1024]) for lo in range(0, 2500, 1024)])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSynthesize:

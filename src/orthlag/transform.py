@@ -135,10 +135,7 @@ class CoefficientField:
         values = np.array(values, dtype=float)
         if values.shape != self.values.shape:
             raise DomainError(f"need {self.values.size} values, got shape {values.shape}")
-        out = object.__new__(CoefficientField)
-        out.dim, out.truncation_kind, out.degree = self.dim, self.truncation_kind, self.degree
-        out._set(self.index, values, self.orders)
-        return out
+        return CoefficientField._from_sorted(self.dim, self.truncation_kind, self.degree, self.index, values, self.orders)
 
     @cached_property
     def _shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,17 +201,15 @@ class _PrefixTable(NamedTuple):
         """Rows of the last-axis product per point: T's, or on the sparse branch the gathered rows."""
         return len(self.starts) if self.dense is not None else len(self.last)
 
-    def product(self, sweep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def product(self, sweep: np.ndarray) -> np.ndarray:
         """T[p] = sum over the terms of prefix p of a_n sweep[n_d]: the last axis contracted,
-        (P, points) from the last axis's rows l_0..l_{reach_d} (or their derivatives), into
-        `out` when given."""
+        (P, points) from the last axis's rows l_0..l_{reach_d} (or their derivatives)."""
         if self.dense is not None:
-            return np.matmul(self.dense, sweep, out=out)
-        # where every prefix has one term, the gathered rows are T
-        one = len(self.starts) == len(self.last)
-        gathered = sweep.take(self.last, axis=0, out=out if one else None, mode="clip")
+            return self.dense @ sweep
+        gathered = sweep.take(self.last, axis=0)
         gathered *= self.values[:, None]
-        return gathered if one else np.add.reduceat(gathered, self.starts, axis=0, out=out)
+        # where every prefix has one term, the gathered rows are T
+        return gathered if len(self.starts) == len(self.last) else np.add.reduceat(gathered, self.starts, axis=0)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -272,9 +267,7 @@ def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
     other axes' factors l_{n_j}(x_j) and the rows are summed.  A block holds at
     most 2^20 / (largest reach + 1) points, so each sweep holds at most 2^20
     values, and at most 2^18 values of the last-axis product (a third of that
-    with the derivative rows), so memory does not grow with the points.  The
-    value path allocates T and the prefix factors in its first block and fills
-    them in place in the later ones, so their fresh pages fault in once a call.
+    with the derivative rows), so memory does not grow with the points.
     """
     pts = _validate_points(points, a.dim)
     reach, table = a._terms[2], a._prefix_table
@@ -282,40 +275,29 @@ def _series(a: CoefficientField, points, deriv: bool = False) -> np.ndarray:
     if table.values.size == 0:
         return out
     size = max(1, min(2**20 // (max(reach) + 1), 2**18 // ((3 if deriv else 1) * table.row_count)))
-    t = factor = None  # the value path's T and prefix factors, from its first block on
     for lo in range(0, pts.shape[0], size):
-        coords = pts[lo:lo + size].T
-        if deriv:
-            # each block's sweeps are freed before the next block's
-            out[:, lo:lo + size] = _deriv_block(table, [laguerre_fn_sweep(m, x) for m, x in zip(reach, coords)])
-            continue
-        if t is not None and (n := coords.shape[1]) < t.shape[1]:
-            # the last, smaller block fills the leading part of each, a contiguous array
-            t, factor = (w if w is None else w.ravel()[:w.shape[0] * n].reshape(-1, n) for w in (t, factor))
-        t, factor = _value_block(table, reach, coords, t, factor, out[0, lo:lo + size])
+        cols = slice(lo, lo + size)
+        # each block's arrays are freed before the next block's sweeps
+        out[:, cols] = _block(table, [laguerre_fn_sweep(m, x) for m, x in zip(reach, pts[cols].T)], deriv)
     return out
 
 
-def _value_block(table: "_PrefixTable", reach: tuple[int, ...], coords: np.ndarray, t, factor,
-                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The series at the columns of `coords` (d, points) into `out`, filling T and the
-    prefix factors (P, points) in place when given, else allocating them; both are
-    returned for the next block.  One sweep is live at a time, and the prefix factors
-    multiply in axis order, so a one-term field is l_{n_1}(x_1) ... l_{n_d}(x_d) to the bit."""
-    if len(coords) > 1:
-        factor = laguerre_fn_sweep(reach[0], coords[0]).take(table.prefix[:, 0], axis=0, out=factor, mode="clip")
-        for j in range(1, len(coords) - 1):
-            factor *= laguerre_fn_sweep(reach[j], coords[j]).take(table.prefix[:, j], axis=0, out=t, mode="clip")
-    t = table.product(laguerre_fn_sweep(reach[-1], coords[-1]), out=t)
-    if factor is not None:
-        t *= factor
-    t.sum(axis=0, out=out)
-    return t, factor
-
-
-def _deriv_block(table: "_PrefixTable", sweeps: list[np.ndarray]) -> list[np.ndarray]:
-    """The rows of `_series` with `deriv` at one block of points, from each axis's sweep over it."""
+def _block(table: "_PrefixTable", sweeps: list[np.ndarray], deriv: bool):
+    """The rows of `_series` at one block of points, from each axis's sweep over it."""
     last_sweep = sweeps.pop()
+    if not deriv:
+        # the prefix factors multiply in axis order first, so a one-term field is
+        # l_{n_1}(x_1) ... l_{n_d}(x_d) to the bit; the prefix sweeps are released
+        # before T is formed, so at most two (P, points) arrays are live at once
+        factor = 1.0
+        if sweeps:
+            factor = sweeps[0].take(table.prefix[:, 0], axis=0)
+            for j in range(1, len(sweeps)):
+                factor *= sweeps[j].take(table.prefix[:, j], axis=0)
+            sweeps.clear()
+        t = table.product(last_sweep)
+        t *= factor
+        return t.sum(axis=0)
     # the factor of one axis is differentiated, the others multiply as values
     last = [table.product(r) for r in _derivative_rows(last_sweep)]  # T, T' and T''
     factors = [[r.take(table.prefix[:, j], axis=0) for r in _derivative_rows(sweep)] for j, sweep in enumerate(sweeps)]

@@ -614,30 +614,6 @@ def test_terms_reach_is_the_per_axis_max_over_the_nonzero_records(monkeypatch, c
         assert np.array_equal(got, np.zeros(5))
 
 
-@pytest.mark.parametrize("branch", ["dense", "sparse-one", "sparse-many"])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_blocks_that_reuse_the_first_blocks_arrays_give_each_blocks_own_bits(d, branch):
-    # reach 1023 makes blocks of 2^20 / 1024 = 1024 points, so 2500 points run as
-    # 1024 + 1024 + 452, the later blocks in the first one's T and prefix factors;
-    # each block alone, a one-block call, must give the same bits
-    rng = np.random.default_rng(12)
-    if branch == "dense":  # 40 last-axis terms, 1023 among them, per prefix in {0, 1}^(d-1)
-        rows = [p + (m,) for p in product(range(2), repeat=d - 1)
-                for m in [1023, *rng.choice(1023, 39, replace=False).tolist()]]
-    else:  # per prefix (k, .., k) the term n_d = 1023 - k, and for many also n_d = k
-        ks = range(1 if d == 1 else 100)
-        rows = [(k,) * (d - 1) + (1023 - k,) for k in ks]
-        rows += [(k,) * (d - 1) + (k,) for k in ks] if branch == "sparse-many" else []
-    a = CoefficientField(d, "box", 1023, {n: float(v) for n, v in zip(rows, rng.uniform(-1, 1, len(rows)))})
-    table = a._prefix_table
-    assert (table.dense is not None) == (branch == "dense")
-    assert branch == "dense" or (len(table.starts) == len(table.last)) == (branch == "sparse-one")
-    pts = rng.uniform(0.0, 40.0, size=(2500, d))
-    got = synthesize(a, pts)
-    want = np.concatenate([synthesize(a, pts[lo:lo + 1024]) for lo in range(0, 2500, 1024)])
-    assert got.tobytes() == want.tobytes()
-
-
 class TestSynthesize:
     def test_single_term(self):
         a = CoefficientField(1, "total", 0, {(0,): 1.0})
